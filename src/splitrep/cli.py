@@ -130,6 +130,12 @@ def _emit(args, report: RunReport) -> None:
         print(report.to_text())
 
 
+def _usage_error(parser, message: str) -> int:
+    """One-line usage error on stderr; the caller returns the exit code."""
+    print(f"{parser.prog}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _parse_word_arg(parser, text: str, k: int | None) -> Word:
     if text == "":
         parser.error("empty word")
@@ -227,6 +233,8 @@ def _problem_from_args(args, parser) -> SearchProblem:
 
 def cmd_search(args, parser) -> int:
     problem = _problem_from_args(parser=parser, args=args)
+    if args.threads < 1:
+        return _usage_error(parser, f"--threads must be >= 1, got {args.threads}")
     budget = SearchBudget(
         nodes=args.budget,
         seconds=args.seconds,
@@ -235,12 +243,15 @@ def cmd_search(args, parser) -> int:
     )
     start = time.monotonic()
     if args.frontier or args.checkpoint or args.resume:
-        resume = load_checkpoint(args.resume) if args.resume else None
-        seed = parse_word(args.seed, problem.k) if args.seed else None
-        outcome = frontier_lower_bound(
-            problem, budget, seed=seed, checkpoint_path=args.checkpoint,
-            resume=resume,
-        )
+        seed = _parse_word_arg(parser, args.seed, problem.k) if args.seed else None
+        try:
+            resume = load_checkpoint(args.resume) if args.resume else None
+            outcome = frontier_lower_bound(
+                problem, budget, seed=seed, checkpoint_path=args.checkpoint,
+                resume=resume,
+            )
+        except (OSError, ValueError) as exc:
+            return _usage_error(parser, str(exc))
     else:
         outcome = longest_avoiding(problem, budget)
     verified = verify_witness(problem, outcome.witness)
@@ -271,18 +282,21 @@ def cmd_search(args, parser) -> int:
 
 
 def cmd_bounds(args, parser) -> int:
-    if args.family == "C":
-        if args.n is None:
-            parser.error("bounds --family C needs --n")
-        report_data = counting.c_bounds(args.k, args.n)
-        param = args.n
-    else:
-        if args.t is None:
-            parser.error("bounds --family S or R needs --t")
-        report_data = counting.s_upper_bounds(
-            args.k, args.t, c_values=exact_c_values() if args.use_known else None
-        )
-        param = args.t
+    try:
+        if args.family == "C":
+            if args.n is None:
+                parser.error("bounds --family C needs --n")
+            report_data = counting.c_bounds(args.k, args.n)
+            param = args.n
+        else:
+            if args.t is None:
+                parser.error("bounds --family S or R needs --t")
+            report_data = counting.s_upper_bounds(
+                args.k, args.t, c_values=exact_c_values() if args.use_known else None
+            )
+            param = args.t
+    except ValueError as exc:
+        return _usage_error(parser, str(exc))
     entries = {
         label: f"{rel} {value}"
         for label, (rel, value) in report_data.entries.items()
@@ -350,6 +364,8 @@ def cmd_construct(args, parser) -> int:
     except debruijn.ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:
+        return _usage_error(parser, str(exc))
     failed = any(v is False for v in checks.values())
     report = RunReport(
         command="construct",

@@ -13,10 +13,21 @@ hashing collisions) via prefix value arrays, so dictionary lookups do the
 occurrence bookkeeping:
 
   * disjoint-factor engine: earliest start of every length-n factor;
-  * split/reversed engines: earliest end of every factor (for the cases
-    where the suffix pins the repetition's period block), plus a "threat"
-    table of exact strings whose later appearance as a suffix completes a
-    violation (for the cases where the earlier piece pins the block).
+  * split/reversed engines, for the cases where the suffix pins the
+    repetition's period block: the earliest end of every factor of length
+    at most S0 = SHORT_FACTOR_LEN, plus an occurrence index `occ` from each
+    length-S0 factor to the ascending list of positions where it ends. A
+    longer factor is found by walking the ends of its length-S0 suffix and
+    confirming each candidate with an exact value comparison;
+  * split/reversed engines, for the cases where the earlier piece pins the
+    block: a "threat" table of exact strings whose later appearance as a
+    suffix completes a violation. Threats of length at most S0 are looked up
+    length by length; longer ones are listed under their last S0 letters
+    (`tocc`), so only threats ending like the suffix are compared.
+
+A push thus inserts at most S0 factors however deep the word is. What
+still grows with depth is the loop over the periods at which the pushed
+letter recurs, and the number of threats each push arms.
 """
 
 from __future__ import annotations
@@ -24,6 +35,11 @@ from __future__ import annotations
 from .detect import GapConvention
 
 _EMPTY: dict = {}
+
+# S0 in the comments: factors and threats up to this length get exact
+# per-length tables; longer ones are found through occurrence lists keyed by
+# their last S0 letters
+SHORT_FACTOR_LEN = 12
 
 
 class DisjointFactorEngine:
@@ -197,17 +213,40 @@ class SplitOverlapEngine:
         self.runs: list[dict[int, int]] = []   # per position: m -> run length
         self.pref: list[int] = [0]             # pref[i] = value of word[:i], base k
         self.powk: list[int] = [1]
-        self.fdicts: list[dict[int, int]] = [{}, {}]   # factor value -> earliest end
+        # fdicts[q]: value of a length-q factor -> its earliest end, q <= S0
+        self.fdicts: list[dict[int, int]] = [{} for _ in range(SHORT_FACTOR_LEN + 1)]
         self.fd_trail: list[list[tuple[int, int]]] = []
+        # occ: value of a length-S0 factor -> ascending ends of its occurrences
+        self.occ: dict[int, list[int]] = {}
+        self.occ_mod = k ** SHORT_FACTOR_LEN
         self.tdicts: list[dict[int, int]] = [{}]       # threat value -> earliest x end
         self.td_trail: list[list[tuple[int, int]]] = []
-        self.active_tlens: dict[int, int] = {}          # live threat lengths
+        self.active_tlens: dict[int, int] = {}          # live threat lengths <= S0
+        # tocc: value of the last S0 letters of a longer threat -> its (q, value)
+        self.tocc: dict[int, list[tuple[int, int]]] = {}
 
     def _powk_to(self, q: int) -> list[int]:
         powk = self.powk
         while len(powk) <= q:
             powk.append(powk[-1] * self.k)
         return powk
+
+    def _occurs_long(self, s: int, v: int, bound: int) -> bool:
+        """True iff the factor of length s > S0 with value v ends at or before bound.
+
+        Walks the ends of its length-S0 suffix in ascending order and
+        confirms each candidate by comparing exact values.
+        """
+        ends = self.occ.get(v % self.occ_mod)
+        if ends:
+            pref = self.pref
+            ps = self.powk[s]
+            for e in ends:
+                if e > bound:
+                    break
+                if e >= s - 1 and pref[e + 1] - pref[e + 1 - s] * ps == v:
+                    return True
+        return False
 
     def _row(self, a: int) -> dict[int, int]:
         """Run lengths ending at the would-be new position for each period m."""
@@ -234,13 +273,17 @@ class SplitOverlapEngine:
             if m >= mmin and r >= m + t:
                 return True          # contiguous t-overlap at the end
         pL = pref[L]
+        fdicts = self.fdicts
+        occ = self.occ
+        occ_mod = self.occ_mod
         if t == 0:
-            fdicts = self.fdicts
-            qmax = min(L - mg, len(fdicts) - 1)
-            for q in range(1, qmax + 1):
+            for q in range(1, L - mg + 1):
                 v = (pL - pref[ell - q] * powk[q - 1]) * k + a
-                e = fdicts[q].get(v)
-                if e is not None and e <= L - q - mg:
+                if q <= SHORT_FACTOR_LEN:
+                    e = fdicts[q].get(v)
+                    if e is not None and e <= L - q - mg:
+                        return True
+                elif v % occ_mod in occ and self._occurs_long(q, v, L - q - mg):
                     return True
             return False
         tdicts = self.tdicts
@@ -251,8 +294,19 @@ class SplitOverlapEngine:
             e = tdicts[q].get(v)
             if e is not None and e <= L - q - mg:
                 return True
-        fdicts = self.fdicts
-        nfd = len(fdicts)
+        if ell > SHORT_FACTOR_LEN and self.tocc:
+            # a longer threat can match only if it ends in the suffix's last S0
+            threats = self.tocc.get(
+                (pL - pref[ell - SHORT_FACTOR_LEN] * powk[SHORT_FACTOR_LEN - 1]) * k + a
+            )
+            if threats:
+                for q, v in threats:
+                    if (
+                        q <= L - mg
+                        and (pL - pref[ell - q] * powk[q - 1]) * k + a == v
+                        and tdicts[q][v] <= L - q - mg
+                    ):
+                        return True
         if not self.rev:
             # z = suffix V.P.P[:t] with period m; x = P[:m-g] seen earlier
             for m, r in row.items():
@@ -261,11 +315,15 @@ class SplitOverlapEngine:
                 base = pref[ell - m - t]
                 for g in range(min(r - t, m - 1) + 1):
                     s = m - g
-                    if s < nfd:
-                        v = pref[ell - t - g] - base * powk[s]
+                    v = pref[ell - t - g] - base * powk[s]
+                    if s <= SHORT_FACTOR_LEN:
                         e = fdicts[s].get(v)
                         if e is not None and e <= L - m - t - g - mg:
                             return True
+                    elif v % occ_mod in occ and self._occurs_long(
+                        s, v, L - m - t - g - mg
+                    ):
+                        return True
         else:
             # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen earlier
             for m, r in row.items():
@@ -273,8 +331,6 @@ class SplitOverlapEngine:
                     continue
                 for s in range(m + 1, min(m + r, 2 * m + t - 1) + 1):
                     xlen = 2 * m + t - s
-                    if xlen >= nfd:
-                        continue
                     zstart = ell - s
                     v2 = pref[zstart + t] - pref[zstart] * powk[t]
                     if s <= 2 * m:
@@ -282,8 +338,13 @@ class SplitOverlapEngine:
                         v = v1 * powk[t] + v2
                     else:
                         v = pref[zstart + t] - pref[ell - 2 * m] * powk[xlen]
-                    e = fdicts[xlen].get(v)
-                    if e is not None and e <= L - s - mg:
+                    if xlen <= SHORT_FACTOR_LEN:
+                        e = fdicts[xlen].get(v)
+                        if e is not None and e <= L - s - mg:
+                            return True
+                    elif v % occ_mod in occ and self._occurs_long(
+                        xlen, v, L - s - mg
+                    ):
                         return True
         return False
 
@@ -305,49 +366,39 @@ class SplitOverlapEngine:
         self.runs.append(row)
         pref.append(pref[L] * self.k + a)
         fdicts = self.fdicts
-        while len(fdicts) <= ell:
-            fdicts.append({})
         ftrail = []
         pe = pref[ell]
-        for q in range(1, ell + 1):
+        for q in range(1, min(ell, SHORT_FACTOR_LEN) + 1):
             v = pe - pref[ell - q] * powk[q]
             d = fdicts[q]
             if v not in d:
                 d[v] = L
                 ftrail.append((q, v))
         self.fd_trail.append(ftrail)
-        ttrail: list[tuple[int, int]] = []
+        if ell >= SHORT_FACTOR_LEN:
+            # v is now the value of the length-S0 suffix
+            self.occ.setdefault(v, []).append(L)
+        armed: list[tuple[int, int]] = []  # (length, value) of each threat
         if t > 0:
-            tdicts = self.tdicts
-            active = self.active_tlens
             mmin = self.mmin
             if not self.rev:
-                # x = P.P[:c] ending here arms the exact string (P.P[:t])[c:]
+                # x = P.P[:c] ending here arms the exact string (P.P[:t])[c:]:
+                # the next q letters of the period-m run, starting at ell - m
                 for m, r in row.items():
                     if m < mmin:
                         continue
+                    base = pref[ell - m]
                     for c in range(1, min(r, m + t - 1, L - m + 1) + 1):
-                        if c <= m:
-                            q = m - c + t
-                            v1 = pref[L - c + 1] - pref[L - m + 1] * powk[m - c]
-                            v2 = (
-                                pref[L - m - c + 1 + t]
-                                - pref[L - m - c + 1] * powk[t]
-                            )
-                            v = v1 * powk[t] + v2
+                        q = m + t - c
+                        if c >= t:
+                            # all q letters already lie in the word
+                            v = pref[ell - c + t] - base * powk[q]
                         else:
-                            q = m + t - c
-                            v = (
-                                pref[L - m - c + t + 1]
-                                - pref[L - 2 * m + 1] * powk[q]
+                            # q > m: the last m letters, then their first t - c
+                            v = (pref[ell] - base * powk[m]) * powk[t - c] + (
+                                pref[ell - m + t - c] - base * powk[t - c]
                             )
-                        while len(tdicts) <= q:
-                            tdicts.append({})
-                        d = tdicts[q]
-                        if v not in d:
-                            d[v] = L
-                            ttrail.append((q, v))
-                            active[q] = active.get(q, 0) + 1
+                        armed.append((q, v))
             else:
                 # x = Q[s:].Q ending here arms the exact string Q[:s]
                 for m, r in row.items():
@@ -357,31 +408,58 @@ class SplitOverlapEngine:
                     for s in range(max(1, m + t - r, 2 * m + t - 1 - L), m + 1):
                         if start < 0 or L - (2 * m + t - s) + 1 < 0:
                             continue
-                        v = pref[start + s] - pref[start] * powk[s]
-                        while len(tdicts) <= s:
-                            tdicts.append({})
-                        d = tdicts[s]
-                        if v not in d:
-                            d[v] = L
-                            ttrail.append((s, v))
-                            active[s] = active.get(s, 0) + 1
+                        armed.append((s, pref[start + s] - pref[start] * powk[s]))
+        ttrail: list[tuple[int, int]] = []
+        if armed:
+            tdicts = self.tdicts
+            active = self.active_tlens
+            tocc = self.tocc
+            mod = self.occ_mod
+            for q, v in armed:
+                while len(tdicts) <= q:
+                    tdicts.append({})
+                d = tdicts[q]
+                if v not in d:
+                    d[v] = L
+                    ttrail.append((q, v))
+                    if q <= SHORT_FACTOR_LEN:
+                        active[q] = active.get(q, 0) + 1
+                    else:
+                        tocc.setdefault(v % mod, []).append((q, v))
         self.td_trail.append(ttrail)
         return True
 
     def pop(self) -> None:
+        pref = self.pref
+        ell = len(self.word)
+        if ell >= SHORT_FACTOR_LEN:
+            v = pref[ell] - pref[ell - SHORT_FACTOR_LEN] * self.powk[SHORT_FACTOR_LEN]
+            ends = self.occ[v]
+            ends.pop()
+            if not ends:
+                del self.occ[v]
         a = self.word.pop()
         self.pos[a].pop()
         self.runs.pop()
-        self.pref.pop()
+        pref.pop()
         fdicts = self.fdicts
         for q, v in self.fd_trail.pop():
             del fdicts[q][v]
         tdicts = self.tdicts
         active = self.active_tlens
+        tocc = self.tocc
+        # this push's threats are the last entries of their tocc lists
         for q, v in self.td_trail.pop():
             del tdicts[q][v]
-            c = active[q] - 1
-            if c:
-                active[q] = c
+            if q > SHORT_FACTOR_LEN:
+                key = v % self.occ_mod
+                threats = tocc[key]
+                threats.pop()
+                if not threats:
+                    del tocc[key]
             else:
-                del active[q]
+                c = active[q] - 1
+                if c:
+                    active[q] = c
+                else:
+                    del active[q]

@@ -18,8 +18,10 @@ runs with different worker counts report identical outcomes.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -134,9 +136,6 @@ class SearchState:
     def word(self) -> list[int]:
         return self.engine.word
 
-    def allowed_letters(self) -> range:
-        return range(min(self.maxused[-1] + 2, self.problem.k))
-
     def can_extend(self, letter: int) -> bool:
         return self.engine.can_extend(letter)
 
@@ -248,10 +247,25 @@ def _dfs(
 
 def _replay(problem: SearchProblem, prefix: list[int]) -> SearchState:
     state = SearchState(problem)
-    for a in prefix:
-        if not state.push(a):
-            raise ValueError(f"prefix is not violation-free: {prefix}")
+    _move_to(state, prefix)
     return state
+
+
+def _move_to(state: SearchState, target: list[int]) -> None:
+    """Pop state back to its longest common prefix with target, then push
+    the rest of target: the state _replay(target) builds, without redoing
+    the shared prefix."""
+    word = state.engine.word
+    common = 0
+    for a, b in zip(word, target):
+        if a != b:
+            break
+        common += 1
+    while len(word) > common:
+        state.pop()
+    for a in target[common:]:
+        if not state.push(a):
+            raise ValueError(f"prefix is not violation-free: {target}")
 
 
 def _enumerate_prefixes(
@@ -516,23 +530,26 @@ class Checkpoint:
         lines = text.splitlines()
         if not lines or lines[0] != CHECKPOINT_MAGIC:
             raise ValueError("not a checkpoint file")
-        fields = dict(line.split("=", 1) for line in lines[1:] if line)
-        problem = SearchProblem(
-            kind=ProblemKind(fields["kind"]),
-            k=int(fields["k"]),
-            param=int(fields["param"]),
-            convention=GapConvention(fields["convention"]),
-        )
-        return Checkpoint(
-            problem=problem,
-            budget_nodes=(
-                int(fields["budget_nodes"]) if fields["budget_nodes"] else None
-            ),
-            best_len=int(fields["best_len"]),
-            best=fields["best"],
-            prefix=fields["prefix"],
-            nodes=int(fields["nodes"]),
-        )
+        fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
+        try:
+            problem = SearchProblem(
+                kind=ProblemKind(fields["kind"]),
+                k=int(fields["k"]),
+                param=int(fields["param"]),
+                convention=GapConvention(fields["convention"]),
+            )
+            return Checkpoint(
+                problem=problem,
+                budget_nodes=(
+                    int(fields["budget_nodes"]) if fields["budget_nodes"] else None
+                ),
+                best_len=int(fields["best_len"]),
+                best=fields["best"],
+                prefix=fields["prefix"],
+                nodes=int(fields["nodes"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"checkpoint has no {exc.args[0]!r} field") from None
 
 
 def frontier_lower_bound(
@@ -686,6 +703,12 @@ def _frontier_restarts(
         base_nodes = 0
     rng = random.Random(rng_seed * 1_000_003 + base_nodes)
     k = problem.k
+    # one live state for every dive: each dive pops back to its common
+    # prefix with the cut incumbent instead of replaying the cut from scratch
+    state = _replay(problem, best)
+    engine = state.engine
+    word = engine.word
+    maxused = state.maxused
     nodes = 0
     max_nodes = budget.nodes if budget.nodes is not None else 1_000_000
     last_checkpoint = 0
@@ -699,10 +722,7 @@ def _frontier_restarts(
             cut = len(best) - rng.randrange(1, min(len(best), window) + 1)
         else:
             cut = rng.randrange(0, len(best) + 1)
-        state = _replay(problem, best[:cut])
-        engine = state.engine
-        word = engine.word
-        maxused = state.maxused
+        _move_to(state, best[:cut])
         letters = list(range(min(maxused[-1] + 2, k)))
         rng.shuffle(letters)
         stack = [[letters, 0]]
@@ -777,8 +797,18 @@ def _write_checkpoint(path, problem, budget_nodes, best_len, best, word, nodes):
         prefix=format_word(Word(tuple(word), problem.k)),
         nodes=nodes,
     )
-    with open(path, "w") as fh:
-        fh.write(cp.render())
+    # write-then-rename: a kill mid-write leaves the previous checkpoint intact
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(cp.render())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

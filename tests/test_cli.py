@@ -186,3 +186,50 @@ class TestValidationExitCode:
         code = main(["search", "S", "--k", "2", "--t", "1"])
         assert code == EXIT_VALIDATION
         assert "witness_verified: False" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """Bad input ends in one line on stderr and exit 2, never a traceback."""
+
+    def assert_usage_error(self, proc):
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("splitrep: error: "), lines
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "debruijn", "--k", "200", "--n", "3"],
+            ["construct", "c3", "--k", "1"],
+            ["bounds", "--family", "C", "--k", "0", "--n", "3"],
+            ["search", "S", "--k", "2", "--t", "1", "--threads", "0"],
+            ["search", "S", "--k", "2", "--t", "1", "--threads", "-3"],
+        ],
+    )
+    def test_rejected_arguments(self, argv):
+        self.assert_usage_error(run_cli(*argv))
+
+    def test_resume_missing_file(self, tmp_path):
+        missing = tmp_path / "missing.ckpt"
+        self.assert_usage_error(
+            run_cli("search", "S", "--k", "2", "--t", "2", "--frontier",
+                    "--resume", str(missing))
+        )
+
+    def test_resume_truncated_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "c.ckpt"
+        assert main(["search", "S", "--k", "2", "--t", "2", "--frontier",
+                     "--budget", "500", "--checkpoint", str(ckpt)]) == EXIT_LOWER_BOUND
+        text = ckpt.read_text()
+        ckpt.write_text(text[: text.index("param=")])
+        self.assert_usage_error(
+            run_cli("search", "S", "--k", "2", "--t", "2", "--frontier",
+                    "--resume", str(ckpt))
+        )
+
+    def test_seed_with_violation(self):
+        self.assert_usage_error(
+            run_cli("search", "S", "--k", "2", "--t", "2", "--frontier",
+                    "--seed", "0000000")
+        )

@@ -5,8 +5,12 @@ import random
 import pytest
 
 import oracles
-from splitrep.detect import GapConvention
-from splitrep.engines import DisjointFactorEngine, SplitOverlapEngine
+from splitrep.detect import GapConvention, find_split_t_overlap
+from splitrep.engines import (
+    SHORT_FACTOR_LEN,
+    DisjointFactorEngine,
+    SplitOverlapEngine,
+)
 from splitrep.search import (
     Checkpoint,
     ProblemKind,
@@ -20,7 +24,7 @@ from splitrep.search import (
     longest_avoiding,
     verify_witness,
 )
-from splitrep.words import Word, parse_word, word
+from splitrep.words import Word, format_word, parse_word, word
 
 
 def outcome_key(outcome):
@@ -123,6 +127,94 @@ class TestEngineAgainstOracle:
             else:
                 assert not engine.active_tlens
                 assert all(not d for d in engine.fdicts if d)
+                assert not engine.occ and not engine.tocc
+
+
+class TestIndexAgainstReference:
+    """The short factor and threat tables plus their occurrence lists answer
+    exactly as an index of every length does, on words far past
+    SHORT_FACTOR_LEN.
+
+    Random push/pop walks: letters are random, or copied from a random
+    earlier position so that long repeated factors (and hence long-factor
+    queries that succeed) occur. Every step compares can_extend for every
+    letter and the try_push verdict with the reference engine, and probes
+    the long-factor lookup on factors of the current word directly.
+    """
+
+    STEPS = 1000
+    MAX_DEPTH = 170
+
+    @pytest.mark.parametrize("kind", ["S", "R"])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_walks_agree(self, k, t, kind):
+        rev = kind == "R"
+        for convention in GapConvention:
+            rng = random.Random(f"{k}-{t}-{kind}-{convention.value}")
+            engine = SplitOverlapEngine(k, t, convention, reversed_mode=rev)
+            ref = oracles.AllLengthsSplitEngine(
+                k, t, convention.min_gap, reversed_mode=rev
+            )
+            word = engine.word
+            copy_from = None
+            for _ in range(self.STEPS):
+                verdicts = [ref.can_extend(a) for a in range(k)]
+                assert [engine.can_extend(a) for a in range(k)] == verdicts, word
+                if (
+                    not any(verdicts)
+                    or len(word) >= self.MAX_DEPTH
+                    or (word and rng.random() < 0.01)
+                ):
+                    for _ in range(rng.randrange(1, min(len(word), 40) + 1)):
+                        engine.pop()
+                        ref.pop()
+                    copy_from = None
+                    continue
+                if copy_from is None and len(word) > 20 and rng.random() < 0.05:
+                    copy_from = rng.randrange(len(word) - 1)
+                if copy_from is not None:
+                    a = word[copy_from]
+                    copy_from += 1
+                else:
+                    a = rng.randrange(k)
+                pushed = engine.try_push(a)
+                assert ref.try_push(a) == pushed == verdicts[a], word
+                if not pushed:
+                    copy_from = None
+                self._probe_long_lookup(engine, ref, rng)
+            assert engine.word == ref.word
+
+    def test_long_threat_at_minimum_gap(self):
+        # the last letter completes x . y . z with |y| = 1 (the least gap the
+        # convention allows) and a 14-letter z, found only through the
+        # occurrence lists of threats longer than SHORT_FACTOR_LEN
+        text = (
+            "2102221110211022022020222212212110021112211200211112212120002121"
+            "1122121200021"
+        )
+        convention = GapConvention.GAP_REQUIRED
+        engine = SplitOverlapEngine(3, 4, convention)
+        assert all(engine.try_push(int(c)) for c in text[:-1])
+        assert not engine.can_extend(int(text[-1]))
+        assert find_split_t_overlap(parse_word(text[:-1], 3), 4, convention) is None
+        v = find_split_t_overlap(parse_word(text, 3), 4, convention)
+        assert v.x_span == (44, 61) and v.z_span == (63, 76)
+
+    @staticmethod
+    def _probe_long_lookup(engine, ref, rng):
+        L = len(engine.word)
+        if L <= SHORT_FACTOR_LEN:
+            return
+        s = rng.randrange(SHORT_FACTOR_LEN + 1, L + 1)
+        end = rng.randrange(s - 1, L)
+        pref, powk = engine.pref, engine.powk
+        v = pref[end + 1] - pref[end + 1 - s] * powk[s]
+        if rng.random() < 0.3:
+            v ^= 1  # usually a value that does not occur
+        bound = end + rng.randrange(-3, 4)
+        e = ref.fdicts[s].get(v)
+        assert engine._occurs_long(s, v, bound) == (e is not None and e <= bound)
 
 
 class TestExhaustiveAgreement:
@@ -302,6 +394,53 @@ class TestFrontier:
         assert verify_witness(problem, a.witness)
 
 
+class TestRestartsRegression:
+    """Pinned outcomes of the restarts strategy, recorded with an engine
+    rebuilt from scratch for every dive: keeping one live engine across
+    dives must not move the search path, hence nodes, reach and witness."""
+
+    @pytest.mark.parametrize(
+        "kind,k,t,start,max_length,witness",
+        [
+            (
+                "R", 2, 4,
+                "00110101101000100110001111000000111000011111110000011",
+                85,
+                "0010001110010110100110101000000001101101111001000110111111100"
+                "100100011011110011011000",
+            ),
+            (
+                "S", 3, 2,
+                "00001021210201022201122011020111201102",
+                72,
+                "0112101200112220211100120021122100022112021100122011002210112"
+                "20021011202",
+            ),
+        ],
+    )
+    def test_pinned_outcome(self, kind, k, t, start, max_length, witness):
+        problem = SearchProblem(ProblemKind(kind), k, t)
+        out = frontier_lower_bound(
+            problem, SearchBudget(nodes=6_000), seed=parse_word(start, k),
+            strategy="restarts", rng_seed=11, dive_nodes=200,
+        )
+        assert out.nodes_explored == 6_000
+        assert out.max_length == max_length
+        assert format_word(out.witness) == witness
+        assert verify_witness(problem, out.witness)
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 2, 3])
+    def test_start_word_with_violation_raises(self, rng_seed):
+        problem = SearchProblem(ProblemKind.REVERSED_SPLIT_OVERLAP, 2, 4)
+        # twelve 0s are the 4-overlap 0000.0000.0000
+        start = parse_word("0" * 12 + "00110101101000100110001111", 2)
+        with pytest.raises(ValueError):
+            frontier_lower_bound(
+                problem, SearchBudget(nodes=6_000), seed=start,
+                strategy="restarts", rng_seed=rng_seed, dive_nodes=200,
+            )
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
@@ -329,6 +468,41 @@ class TestCheckpoints:
         )
         assert resumed.nodes_explored == 6_000
         assert resumed.max_length >= part.max_length
+
+    def test_parse_truncated_raises_value_error(self, tmp_path):
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
+        path = tmp_path / "run.ckpt"
+        frontier_lower_bound(
+            problem, SearchBudget(nodes=1_000), strategy="lex", checkpoint_path=path
+        )
+        text = path.read_text()
+        for cut in (text.index("param="), text.index("nodes="), len(text) // 2):
+            with pytest.raises(ValueError):
+                Checkpoint.parse(text[:cut])
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import splitrep.search as search_mod
+
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
+        path = tmp_path / "run.ckpt"
+        frontier_lower_bound(
+            problem, SearchBudget(nodes=1_000), strategy="lex", checkpoint_path=path
+        )
+        before = path.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+        def killed(src, dst):
+            raise KeyboardInterrupt  # the process dies before the rename
+
+        monkeypatch.setattr(search_mod.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            frontier_lower_bound(
+                problem, SearchBudget(nodes=2_000), strategy="lex",
+                checkpoint_path=path,
+            )
+        assert path.read_text() == before
+        assert load_checkpoint(path).nodes == 1_000
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
 
     def test_resume_rejects_other_problem(self, tmp_path):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
