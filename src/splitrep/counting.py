@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .words import EmptyWordError, Word, period
+from .words import EmptyWordError, Word, failure_function, period
 
 CENSUS_BUDGET = 2_000_000  # max k**n enumerated by period_census / theorem_sum_bound
 
@@ -84,18 +84,7 @@ def _period_counts(k: int, n: int) -> dict[int, int]:
         return {1: 1}
     counts: dict[int, int] = {}
     for syms in product(range(k), repeat=n):
-        # inline failure function; period = n - border[n-1]
-        table = [0] * n
-        b = 0
-        for i in range(1, n):
-            while b > 0 and syms[i] != syms[b]:
-                b = table[b - 1]
-            if syms[i] == syms[b]:
-                b += 1
-            else:
-                b = 0
-            table[i] = b
-        p = n - table[-1]
+        p = n - failure_function(syms)[-1]
         counts[p] = counts.get(p, 0) + 1
     return counts
 

@@ -122,11 +122,6 @@ class SuccessorRule:
         return fv
 
 
-def successor_g(k: int, a1: int, a2: int, a3: int) -> int:
-    """One-shot evaluation of the successor rule (builds the rule each call)."""
-    return SuccessorRule(k).next_symbol(a1, a2, a3)
-
-
 def _window_census_ok(symbols: list[int], k: int, n: int) -> bool:
     """Each length-n word occurs exactly once in the cyclic word symbols."""
     total = len(symbols)

@@ -4,9 +4,23 @@ Each engine holds a growable word and answers "does appending this letter
 create a violation?" in amortized near-constant time. The check is
 suffix-anchored: any violation created by an append has the final piece
 of its witness factor ending at the new position, so only candidates
-anchored there are examined. Engines support can_extend (pure check),
-try_push (check and commit) and pop (undo), which is exactly what a
-depth-first search needs.
+anchored there are examined.
+
+A depth-first search drives an engine with three calls per node:
+
+  * verdicts(letters) checks every candidate letter at the current node at
+    once and returns, per letter, None (the append would violate) or a
+    token holding what the check computed for it (the letter's run row, or
+    for the disjoint-factor engine the length-n factor it completes). Work
+    that depends only on the node, such as the prefix values, the rows of
+    all letters and the short-threat lookups, is done once, not per letter.
+  * commit(a, token) appends a with the token verdicts() gave it at this
+    node, without checking again. Tokens stay valid while the engine is at
+    that node, including after pushes below it have been popped.
+  * pop() undoes the last append.
+
+can_extend (pure check) and try_push (check and commit) are the same code
+for a single letter.
 
 Factor contents are keyed by their base-k integer value (exact, no
 hashing collisions) via prefix value arrays, so dictionary lookups do the
@@ -21,20 +35,28 @@ occurrence bookkeeping:
     confirming each candidate with an exact value comparison;
   * split/reversed engines, for the cases where the earlier piece pins the
     block: a "threat" table of exact strings whose later appearance as a
-    suffix completes a violation. Threats of length at most S0 are looked up
-    length by length; longer ones are listed under their last S0 letters
-    (`tocc`), so only threats ending like the suffix are compared.
+    suffix completes a violation. A threat of length q <= S0 is filed under
+    the value of its first q - 1 letters, then its last letter: the first
+    q - 1 letters of a matching suffix are the word's own last q - 1, so
+    one lookup per length yields every letter the threats bar. Longer
+    threats are listed under their last S0 letters (`tocc`) and checked per
+    letter, so only threats ending like the suffix are compared.
 
 A push thus inserts at most S0 factors however deep the word is. What
-still grows with depth is the loop over the periods at which the pushed
-letter recurs, and the number of threats each push arms.
+still grows with depth is the loop over the periods at which a letter
+recurs (per letter: each period belongs to exactly one letter), and the
+number of threats each push arms.
 """
 
 from __future__ import annotations
 
-from .detect import GapConvention
+from collections.abc import Sequence
 
-_EMPTY: dict = {}
+from .detect import GapConvention
+from .words import failure_function
+
+# DisjointFactorEngine token for a letter that completes no length-n factor yet
+_NO_GRAM = -1
 
 # S0 in the comments: factors and threats up to this length get exact
 # per-length tables; longer ones are found through occurrence lists keyed by
@@ -59,7 +81,7 @@ class DisjointFactorEngine:
         self.n = n
         self.kn = k ** n
         self.word: list[int] = []
-        self.grams: list[int] = []     # value of the last n symbols, per depth
+        self.grams: list[int] = []     # per depth: last n symbols' value, or _NO_GRAM
         self.earliest: dict[int, int] = {}
         self.caps = self._gram_caps()
         self.remaining: dict[int, int] = {}  # live seen grams -> occurrences left
@@ -80,47 +102,49 @@ class DisjointFactorEngine:
                 syms.append(v % k)
                 v //= k
             syms.reverse()
-            table = [0] * n
-            b = 0
-            for i in range(1, n):
-                while b > 0 and syms[i] != syms[b]:
-                    b = table[b - 1]
-                if syms[i] == syms[b]:
-                    b += 1
-                else:
-                    b = 0
-                table[i] = b
-            p = n - table[-1]
+            p = n - failure_function(syms)[-1]
             caps.append(-(-n // p))
         return caps
 
-    def _gram(self, a: int) -> int | None:
+    def verdicts(self, letters: Sequence[int]) -> list[int | None]:
+        """For each letter, None if appending it repeats a length-n factor
+        disjointly, else the token commit() takes: the value of the length-n
+        factor it completes, or _NO_GRAM while the word is shorter."""
         L = len(self.word)
-        if L + 1 < self.n:
-            return None
-        if self.grams and L >= self.n:
-            return (self.grams[-1] * self.k + a) % self.kn
-        g = 0
-        for s in self.word[L + 1 - self.n :]:
-            g = g * self.k + s
-        return g * self.k + a
+        n = self.n
+        if L + 1 < n:
+            return [_NO_GRAM] * len(letters)
+        if L >= n:
+            base = self.grams[-1] * self.k % self.kn
+        else:
+            base = 0
+            for s in self.word:
+                base = base * self.k + s
+            base *= self.k
+        earliest = self.earliest
+        lim = L + 1 - 2 * n
+        out = []
+        for a in letters:
+            g = base + a
+            e = earliest.get(g)
+            out.append(g if e is None or e > lim else None)
+        return out
 
     def can_extend(self, a: int) -> bool:
-        g = self._gram(a)
-        if g is None:
-            return True
-        e = self.earliest.get(g)
-        return e is None or e > len(self.word) + 1 - 2 * self.n
+        return self.verdicts((a,))[0] is not None
 
     def try_push(self, a: int) -> bool:
-        g = self._gram(a)
-        if g is not None:
-            e = self.earliest.get(g)
-            if e is not None and e <= len(self.word) + 1 - 2 * self.n:
-                return False
+        g = self.verdicts((a,))[0]
+        if g is None:
+            return False
+        self.commit(a, g)
+        return True
+
+    def commit(self, a: int, g: int) -> None:
+        """Append a with the token verdicts() gave it at the current node; no check."""
         self.word.append(a)
         ell = len(self.word)
-        self.grams.append(g if g is not None else 0)
+        self.grams.append(g)
         # grams first seen at length ell - n die now: any further occurrence
         # would start >= earliest + n and be disjoint
         forfeits: list[tuple[int, int]] = []
@@ -131,7 +155,7 @@ class DisjointFactorEngine:
                 self.live_total -= rem
         new_gram = None
         consumed = None
-        if g is not None:
+        if g != _NO_GRAM:
             if g not in self.earliest:
                 new_gram = g
                 self.earliest[g] = ell - self.n
@@ -151,7 +175,6 @@ class DisjointFactorEngine:
                 else:
                     del self.remaining[g]
         self.trail.append((new_gram, consumed, forfeits))
-        return True
 
     def pop(self) -> None:
         self.word.pop()
@@ -210,26 +233,23 @@ class SplitOverlapEngine:
         self.mmin = max(t, 1)
         self.word: list[int] = []
         self.pos: list[list[int]] = [[] for _ in range(k)]
-        self.runs: list[dict[int, int]] = []   # per position: m -> run length
+        # per position: period m -> run length, m ascending
+        self.runs: list[dict[int, int]] = []
         self.pref: list[int] = [0]             # pref[i] = value of word[:i], base k
-        self.powk: list[int] = [1]
+        self.powk: list[int] = [1, k]          # powk[i] = k**i, i <= len(word) + 1
         # fdicts[q]: value of a length-q factor -> its earliest end, q <= S0
         self.fdicts: list[dict[int, int]] = [{} for _ in range(SHORT_FACTOR_LEN + 1)]
-        self.fd_trail: list[list[tuple[int, int]]] = []
+        # per push: the suffix lengths above this one were new to fdicts
+        self.fd_low: list[int] = []
         # occ: value of a length-S0 factor -> ascending ends of its occurrences
         self.occ: dict[int, list[int]] = {}
         self.occ_mod = k ** SHORT_FACTOR_LEN
-        self.tdicts: list[dict[int, int]] = [{}]       # threat value -> earliest x end
-        self.td_trail: list[list[tuple[int, int]]] = []
-        self.active_tlens: dict[int, int] = {}          # live threat lengths <= S0
+        # tdicts[q], q <= S0: value of a threat's first q - 1 letters ->
+        # {its last letter: earliest x end}; q > S0: threat value -> earliest x end
+        self.tdicts: list[dict] = [{} for _ in range(SHORT_FACTOR_LEN + 1)]
+        self.td_trail: list[list[tuple[int, int]]] = []   # (length, value) per push
         # tocc: value of the last S0 letters of a longer threat -> its (q, value)
         self.tocc: dict[int, list[tuple[int, int]]] = {}
-
-    def _powk_to(self, q: int) -> list[int]:
-        powk = self.powk
-        while len(powk) <= q:
-            powk.append(powk[-1] * self.k)
-        return powk
 
     def _occurs_long(self, s: int, v: int, bound: int) -> bool:
         """True iff the factor of length s > S0 with value v ends at or before bound.
@@ -248,30 +268,69 @@ class SplitOverlapEngine:
                     return True
         return False
 
-    def _row(self, a: int) -> dict[int, int]:
-        """Run lengths ending at the would-be new position for each period m."""
-        L = len(self.word)
-        row: dict[int, int] = {}
-        prev = self.runs[-1] if self.runs else _EMPTY
-        prevget = prev.get
-        for p in self.pos[a]:
-            m = L - p
-            row[m] = prevget(m, 0) + 1
-        return row
-
-    def _violates(self, a: int, row: dict[int, int]) -> bool:
+    def verdicts(self, letters: Sequence[int]) -> list[dict[int, int] | None]:
+        """For each letter, None if appending it creates a violation, else
+        its run row (period m -> run length at the new position), the token
+        commit() takes."""
         word = self.word
         L = len(word)
+        t = self.t
+        mg = self.mg
+        barred = set()
+        if t:
+            # a short threat's first q - 1 letters are the word's last q - 1,
+            # so one lookup per length answers every letter
+            tdicts = self.tdicts
+            powk = self.powk
+            tail = self.pref[L] % self.occ_mod  # the last S0 letters
+            for q in range(1, min(L - mg, SHORT_FACTOR_LEN) + 1):
+                d = tdicts[q]
+                if d:
+                    hits = d.get(tail % powk[q - 1])
+                    if hits:
+                        lim = L - q - mg
+                        for a, e in hits.items():
+                            if e <= lim:
+                                barred.add(a)
+        # the rows of the letters left, periods ascending: each earlier
+        # position p of a letter starts a run of period L - p, which one pass
+        # over the previous row extends where that run reached the previous
+        # letter
+        pos = self.pos
+        rows = {}
+        for a in letters:
+            if a not in barred:
+                rows[a] = {L - p: 1 for p in reversed(pos[a])}
+        if t == 0 and L:
+            rows.pop(word[-1], None)  # contiguous 0-overlap aa
+        if self.runs:
+            mmin = self.mmin
+            for m, r in self.runs[-1].items():
+                row = rows.get(word[L - m])
+                if row is not None:
+                    if r + 1 >= m + t and m >= mmin:
+                        # contiguous t-overlap: the run reaches m + t letters
+                        del rows[word[L - m]]
+                    else:
+                        row[m] = r + 1
+        out = []
+        for a in letters:
+            row = rows.get(a)
+            out.append(None if row is None or self._period_violates(a, row) else row)
+        return out
+
+    def _period_violates(self, a: int, row: dict[int, int]) -> bool:
+        """The per-letter part of the check: factors pinned by the suffix
+        (every length when t = 0, else by the periods in row, which come in
+        ascending order) and threats longer than S0."""
+        L = len(self.word)
         ell = L + 1
         t = self.t
         mg = self.mg
         k = self.k
         pref = self.pref
-        powk = self._powk_to(ell + 1)
+        powk = self.powk
         mmin = self.mmin
-        for m, r in row.items():
-            if m >= mmin and r >= m + t:
-                return True          # contiguous t-overlap at the end
         pL = pref[L]
         fdicts = self.fdicts
         occ = self.occ
@@ -286,20 +345,13 @@ class SplitOverlapEngine:
                 elif v % occ_mod in occ and self._occurs_long(q, v, L - q - mg):
                     return True
             return False
-        tdicts = self.tdicts
-        for q in self.active_tlens:
-            if q > L - mg:
-                continue
-            v = (pL - pref[ell - q] * powk[q - 1]) * k + a
-            e = tdicts[q].get(v)
-            if e is not None and e <= L - q - mg:
-                return True
         if ell > SHORT_FACTOR_LEN and self.tocc:
             # a longer threat can match only if it ends in the suffix's last S0
             threats = self.tocc.get(
                 (pL - pref[ell - SHORT_FACTOR_LEN] * powk[SHORT_FACTOR_LEN - 1]) * k + a
             )
             if threats:
+                tdicts = self.tdicts
                 for q, v in threats:
                     if (
                         q <= L - mg
@@ -310,10 +362,12 @@ class SplitOverlapEngine:
         if not self.rev:
             # z = suffix V.P.P[:t] with period m; x = P[:m-g] seen earlier
             for m, r in row.items():
-                if r < t or m < mmin or ell < 2 * m + t + mg:
+                if ell < 2 * m + t + mg:
+                    break  # so are all longer periods
+                if r < t or m < mmin:
                     continue
                 base = pref[ell - m - t]
-                for g in range(min(r - t, m - 1) + 1):
+                for g in range((r - t if r - t < m - 1 else m - 1) + 1):
                     s = m - g
                     v = pref[ell - t - g] - base * powk[s]
                     if s <= SHORT_FACTOR_LEN:
@@ -327,7 +381,9 @@ class SplitOverlapEngine:
         else:
             # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen earlier
             for m, r in row.items():
-                if m < mmin or ell < 2 * m + t + mg:
+                if ell < 2 * m + t + mg:
+                    break  # so are all longer periods
+                if m < mmin:
                     continue
                 for s in range(m + 1, min(m + r, 2 * m + t - 1) + 1):
                     xlen = 2 * m + t - s
@@ -349,35 +405,46 @@ class SplitOverlapEngine:
         return False
 
     def can_extend(self, a: int) -> bool:
-        return not self._violates(a, self._row(a))
+        return self.verdicts((a,))[0] is not None
 
     def try_push(self, a: int) -> bool:
-        row = self._row(a)
-        if self._violates(a, row):
+        row = self.verdicts((a,))[0]
+        if row is None:
             return False
+        self.commit(a, row)
+        return True
+
+    def commit(self, a: int, row: dict[int, int]) -> None:
+        """Append a with the row verdicts() gave it at the current node; no check."""
         word = self.word
         L = len(word)
         ell = L + 1
         t = self.t
+        k = self.k
         pref = self.pref
-        powk = self._powk_to(ell + 1)
+        powk = self.powk
         word.append(a)
         self.pos[a].append(L)
         self.runs.append(row)
-        pref.append(pref[L] * self.k + a)
-        fdicts = self.fdicts
-        ftrail = []
-        pe = pref[ell]
-        for q in range(1, min(ell, SHORT_FACTOR_LEN) + 1):
-            v = pe - pref[ell - q] * powk[q]
-            d = fdicts[q]
-            if v not in d:
-                d[v] = L
-                ftrail.append((q, v))
-        self.fd_trail.append(ftrail)
-        if ell >= SHORT_FACTOR_LEN:
-            # v is now the value of the length-S0 suffix
+        pe = pref[L] * k + a
+        pref.append(pe)
+        if len(powk) == ell + 1:
+            powk.append(powk[-1] * k)
+        # longest suffix first: once one is already present, so are all
+        # shorter ones (they end inside its earlier occurrence)
+        q = ell if ell < SHORT_FACTOR_LEN else SHORT_FACTOR_LEN
+        v = pe - pref[ell - q] * powk[q]
+        if q == SHORT_FACTOR_LEN:
             self.occ.setdefault(v, []).append(L)
+        fdicts = self.fdicts
+        while q:
+            d = fdicts[q]
+            if v in d:
+                break
+            d[v] = L
+            q -= 1
+            v %= powk[q]
+        self.fd_low.append(q)
         armed: list[tuple[int, int]] = []  # (length, value) of each threat
         if t > 0:
             mmin = self.mmin
@@ -395,7 +462,7 @@ class SplitOverlapEngine:
                             v = pref[ell - c + t] - base * powk[q]
                         else:
                             # q > m: the last m letters, then their first t - c
-                            v = (pref[ell] - base * powk[m]) * powk[t - c] + (
+                            v = (pe - base * powk[m]) * powk[t - c] + (
                                 pref[ell - m + t - c] - base * powk[t - c]
                             )
                         armed.append((q, v))
@@ -412,54 +479,65 @@ class SplitOverlapEngine:
         ttrail: list[tuple[int, int]] = []
         if armed:
             tdicts = self.tdicts
-            active = self.active_tlens
             tocc = self.tocc
             mod = self.occ_mod
-            for q, v in armed:
-                while len(tdicts) <= q:
-                    tdicts.append({})
-                d = tdicts[q]
-                if v not in d:
+            for threat in armed:
+                q, v = threat
+                if q <= SHORT_FACTOR_LEN:
+                    u, b = divmod(v, k)
+                    d = tdicts[q].get(u)
+                    if d is None:
+                        d = tdicts[q][u] = {}
+                    elif b in d:
+                        continue
+                    d[b] = L
+                else:
+                    while len(tdicts) <= q:
+                        tdicts.append({})
+                    d = tdicts[q]
+                    if v in d:
+                        continue
                     d[v] = L
-                    ttrail.append((q, v))
-                    if q <= SHORT_FACTOR_LEN:
-                        active[q] = active.get(q, 0) + 1
-                    else:
-                        tocc.setdefault(v % mod, []).append((q, v))
+                    tocc.setdefault(v % mod, []).append(threat)
+                ttrail.append(threat)
         self.td_trail.append(ttrail)
-        return True
 
     def pop(self) -> None:
         pref = self.pref
+        powk = self.powk
         ell = len(self.word)
-        if ell >= SHORT_FACTOR_LEN:
-            v = pref[ell] - pref[ell - SHORT_FACTOR_LEN] * self.powk[SHORT_FACTOR_LEN]
+        q = ell if ell < SHORT_FACTOR_LEN else SHORT_FACTOR_LEN
+        v = pref[ell] - pref[ell - q] * powk[q]
+        if q == SHORT_FACTOR_LEN:
             ends = self.occ[v]
             ends.pop()
             if not ends:
                 del self.occ[v]
+        low = self.fd_low.pop()
+        fdicts = self.fdicts
+        while q > low:
+            del fdicts[q][v]
+            q -= 1
+            v %= powk[q]
         a = self.word.pop()
         self.pos[a].pop()
         self.runs.pop()
         pref.pop()
-        fdicts = self.fdicts
-        for q, v in self.fd_trail.pop():
-            del fdicts[q][v]
         tdicts = self.tdicts
-        active = self.active_tlens
         tocc = self.tocc
+        k = self.k
         # this push's threats are the last entries of their tocc lists
         for q, v in self.td_trail.pop():
-            del tdicts[q][v]
             if q > SHORT_FACTOR_LEN:
+                del tdicts[q][v]
                 key = v % self.occ_mod
                 threats = tocc[key]
                 threats.pop()
                 if not threats:
                     del tocc[key]
             else:
-                c = active[q] - 1
-                if c:
-                    active[q] = c
-                else:
-                    del active[q]
+                u, b = divmod(v, k)
+                d = tdicts[q][u]
+                del d[b]
+                if not d:
+                    del tdicts[q][u]

@@ -145,6 +145,18 @@ class SearchState:
             return True
         return False
 
+    def verdicts(self) -> list:
+        """The engine's verdicts for the canonical letters at this node (every
+        letter used so far and the first unused one), in increasing order."""
+        k = self.problem.k
+        return self.engine.verdicts(range(min(self.maxused[-1] + 1, k - 1) + 1))
+
+    def commit(self, letter: int, token) -> None:
+        """Append letter with the token the engine's verdicts gave it at this
+        node, without checking it again."""
+        self.engine.commit(letter, token)
+        self.maxused.append(max(self.maxused[-1], letter))
+
     def pop(self) -> None:
         self.engine.pop()
         self.maxused.pop()
@@ -187,14 +199,15 @@ def _dfs(
     """
     engine = state.engine
     word = engine.word
-    maxused = state.maxused
-    k = state.problem.k
     base_depth = len(word)
     best_len = len(word)
     best = word.copy()
     all_best: list[list[int]] = [word.copy()] if collect_all else []
     nodes = 0
+    # one frame per depth: the next letter to try and the tokens of every
+    # canonical letter, checked together when the frame is entered
     next_letter = [0]
+    tokens = [state.verdicts()]
     exhausted = True
     cap_hit = False
     # reachability pruning loses tied maxima, which only matters to collect_all
@@ -206,8 +219,9 @@ def _dfs(
     floor = cap - 1 if (achievable_cap and cap is not None) else None
     while next_letter:
         a = next_letter[-1]
-        if a > min(maxused[-1] + 1, k - 1):
+        if a >= len(tokens[-1]):
             next_letter.pop()
+            tokens.pop()
             if next_letter:
                 state.pop()
             continue
@@ -220,8 +234,9 @@ def _dfs(
         if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
             exhausted = False
             break
-        if engine.try_push(a):
-            maxused.append(max(maxused[-1], a))
+        token = tokens[-1][a]
+        if token is not None:
+            state.commit(a, token)
             depth = len(word)
             if depth > best_len:
                 best_len = depth
@@ -240,6 +255,7 @@ def _dfs(
                 state.pop()
             else:
                 next_letter.append(0)
+                tokens.append(state.verdicts())
     while len(word) > base_depth:
         state.pop()
     return _TaskResult(best_len, best, nodes, exhausted, cap_hit), all_best
@@ -280,16 +296,20 @@ def _enumerate_prefixes(
     best_len = 0
     best: list[int] = []
     next_letter = [0]
+    tokens = [state.verdicts()]
     while next_letter:
         a = next_letter[-1]
-        if a > min(state.maxused[-1] + 1, problem.k - 1):
+        if a >= len(tokens[-1]):
             next_letter.pop()
+            tokens.pop()
             if next_letter:
                 state.pop()
             continue
         next_letter[-1] += 1
         nodes += 1
-        if state.push(a):
+        token = tokens[-1][a]
+        if token is not None:
+            state.commit(a, token)
             if len(word) > best_len:
                 best_len = len(word)
                 best = word.copy()
@@ -298,6 +318,7 @@ def _enumerate_prefixes(
                 state.pop()
             else:
                 next_letter.append(0)
+                tokens.append(state.verdicts())
     return out, nodes, best_len, best
 
 
@@ -623,17 +644,23 @@ def _frontier_lex(
 
     engine = state.engine
     word = engine.word
-    maxused = state.maxused
     k = problem.k
     best_len = max(len(best), len(word))
     nodes = 0
     max_nodes = budget.nodes
     last_checkpoint = 0
     bound_fn = getattr(engine, "max_reachable_length", None)
+    # the frames of a replayed prefix get their tokens when the walk pops
+    # back to them, at their own depth
+    tokens: list[list | None] = [None] * len(next_letter)
     while next_letter:
         a = next_letter[-1]
-        if a > min(maxused[-1] + 1, k - 1):
+        frame = tokens[-1]
+        if frame is None:
+            frame = tokens[-1] = state.verdicts()
+        if a >= len(frame):
             next_letter.pop()
+            tokens.pop()
             if next_letter:
                 state.pop()
             continue
@@ -650,8 +677,9 @@ def _frontier_lex(
                 checkpoint_path, problem, max_nodes, best_len, best, word,
                 base_nodes + nodes,
             )
-        if engine.try_push(a):
-            maxused.append(max(maxused[-1], a))
+        token = frame[a]
+        if token is not None:
+            state.commit(a, token)
             if len(word) > best_len:
                 best_len = len(word)
                 best = word.copy()
@@ -659,6 +687,7 @@ def _frontier_lex(
                 state.pop()
             else:
                 next_letter.append(0)
+                tokens.append(state.verdicts())
     if checkpoint_path is not None:
         _write_checkpoint(
             checkpoint_path, problem, max_nodes, best_len, best, word,
@@ -707,6 +736,7 @@ def _frontier_restarts(
     # prefix with the cut incumbent instead of replaying the cut from scratch
     state = _replay(problem, best)
     engine = state.engine
+    verdicts = engine.verdicts
     word = engine.word
     maxused = state.maxused
     nodes = 0
@@ -725,18 +755,19 @@ def _frontier_restarts(
         _move_to(state, best[:cut])
         letters = list(range(min(maxused[-1] + 2, k)))
         rng.shuffle(letters)
-        stack = [[letters, 0]]
+        # frame: letters in trial order, their tokens, index of the next one
+        stack = [[letters, verdicts(letters), 0]]
         dive = 0
         improved = False
         while stack and dive < dive_nodes:
             frame = stack[-1]
-            letters, idx = frame
+            letters, frame_tokens, idx = frame
             if idx >= len(letters):
                 stack.pop()
                 if stack:
                     state.pop()
                 continue
-            frame[1] += 1
+            frame[2] += 1
             a = letters[idx]
             nodes += 1
             dive += 1
@@ -758,8 +789,9 @@ def _frontier_restarts(
                     checkpoint_path, problem, max_nodes, len(best), best, best,
                     base_nodes + nodes,
                 )
-            if engine.try_push(a):
-                maxused.append(max(maxused[-1], a))
+            token = frame_tokens[idx]
+            if token is not None:
+                state.commit(a, token)
                 if len(word) > len(best):
                     best = word.copy()
                     improved = True
@@ -771,7 +803,7 @@ def _frontier_restarts(
                     best = word.copy()
                 ls = list(range(min(maxused[-1] + 2, k)))
                 rng.shuffle(ls)
-                stack.append([ls, 0])
+                stack.append([ls, verdicts(ls), 0])
         stale = 0 if improved else stale + 1
     if checkpoint_path is not None:
         _write_checkpoint(

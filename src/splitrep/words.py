@@ -7,6 +7,7 @@ Lyndon-Schutzenberger decomposition of a pair of overlapping occurrences.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 
@@ -108,11 +109,9 @@ class BorderTable:
     longest_border: tuple[int, ...] = field(default=())
 
 
-def border_array(w: Word) -> BorderTable:
-    """Classical failure-function computation of all prefix border lengths."""
-    if len(w) == 0:
-        raise EmptyWordError("empty input")
-    syms = w.symbols
+def failure_function(syms: Sequence[int]) -> list[int]:
+    """KMP failure function: entry i is the longest proper border length of
+    syms[:i+1]. The smallest period of syms is len(syms) minus the last entry."""
     n = len(syms)
     table = [0] * n
     b = 0
@@ -124,7 +123,14 @@ def border_array(w: Word) -> BorderTable:
         else:
             b = 0
         table[i] = b
-    return BorderTable(tuple(table))
+    return table
+
+
+def border_array(w: Word) -> BorderTable:
+    """Classical failure-function computation of all prefix border lengths."""
+    if len(w) == 0:
+        raise EmptyWordError("empty input")
+    return BorderTable(tuple(failure_function(w.symbols)))
 
 
 def period(w: Word) -> int:

@@ -8,6 +8,17 @@ sys.path.insert(0, os.path.dirname(__file__))
 _criterion_lines = []
 
 
+def report_dir(config):
+    """Where the suite writes its reports: under the pytest cache, which git
+    ignores, so a test run leaves the working tree as it found it."""
+    return config.cache.mkdir("splitrep")
+
+
+@pytest.fixture(scope="session")
+def reports(pytestconfig):
+    return report_dir(pytestconfig)
+
+
 @pytest.fixture(scope="session")
 def record():
     """Collects one pass/fail line per acceptance criterion."""
@@ -24,5 +35,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in _criterion_lines:
         terminalreporter.write_line(line)
-    artifact = config.rootpath / "acceptance_report.txt"
+    artifact = report_dir(config) / "acceptance_report.txt"
     artifact.write_text("\n".join(_criterion_lines) + "\n")
+    terminalreporter.write_line(f"(written to {artifact})")

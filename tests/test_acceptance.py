@@ -1,7 +1,8 @@
 """Acceptance gate: every stated criterion at its stated tolerance.
 
 Each criterion records one PASS/FAIL line (printed in the terminal summary
-and written to acceptance_report.txt). The long-budget exact cells
+and written to acceptance_report.txt under .pytest_cache/d/splitrep/, with
+calibration_report.txt beside it). The long-budget exact cells
 C(2,5), S(2,3) and R(2,3) carry the "stretch" marker; deselect them with
 -m "not stretch" for a quick run.
 """
@@ -439,7 +440,7 @@ class TestCriterion9Detectors:
 
 
 class TestCriterion10Calibration:
-    def test_adopted_convention_reproduces_tables(self, record, pytestconfig):
+    def test_adopted_convention_reproduces_tables(self, record, reports):
         cells = [("S", 1, 4), ("S", 2, 12), ("R", 1, 4), ("R", 2, 15)]
         lines = []
         failures = []
@@ -450,7 +451,7 @@ class TestCriterion10Calibration:
                 lines.append(f"{kind}(2,{t}) {convention.value}: {got} want {want}")
                 if convention is GapConvention.EMPTY_OK and got != want:
                     failures.append(f"{kind}(2,{t})={got}")
-        artifact = pytestconfig.rootpath / "calibration_report.txt"
+        artifact = reports / "calibration_report.txt"
         header = [
             "convention calibration: S(2,1)=4 S(2,2)=12 R(2,1)=4 R(2,2)=15",
             "adopted: empty-ok (contiguous t-overlap factors always violate)",
