@@ -379,10 +379,12 @@ def cmd_construct(args, parser) -> int:
 
 
 def _no_disjoint_of(w: Word, x: Word) -> bool:
+    """True iff no two occurrences of x in w are disjoint: every pair of
+    them overlaps, which holds iff the first and the last do."""
     from .words import occurrences
 
     pos = occurrences(w, x)
-    return all(q - p < len(x) for p, q in zip(pos, pos[1:]))
+    return not pos or pos[-1] - pos[0] < len(x)
 
 
 def cmd_table(args, parser) -> int:

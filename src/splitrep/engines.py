@@ -42,10 +42,18 @@ occurrence bookkeeping:
     threats are listed under their last S0 letters (`tocc`) and checked per
     letter, so only threats ending like the suffix are compared.
 
-A push thus inserts at most S0 factors however deep the word is. What
-still grows with depth is the loop over the periods at which a letter
-recurs (per letter: each period belongs to exactly one letter), and the
-number of threats each push arms.
+A push thus inserts at most S0 factors however deep the word is. It also
+records lrs, the length of the longest suffix that ended earlier too. A
+factor longer than the lrs of its end has no earlier occurrence, so the
+check looks up only pinned pieces no longer than that, and since every
+run is a repeated suffix, lrs also caps the periods worth visiting. lrs
+stays small on long violation-free words (at most 14 on a 134-letter
+R(2,4) word), so the check no longer grows with depth. A split x.z whose
+later piece is longer than one period pins x, so it is looked up from the
+suffix at check time and is not armed as a threat. What still grows with
+depth is building the rows (one entry per earlier occurrence of a letter,
+about L/k) and the threats a push arms for later pieces no longer than
+one period, whose number follows the runs of the word.
 """
 
 from __future__ import annotations
@@ -239,8 +247,9 @@ class SplitOverlapEngine:
         self.powk: list[int] = [1, k]          # powk[i] = k**i, i <= len(word) + 1
         # fdicts[q]: value of a length-q factor -> its earliest end, q <= S0
         self.fdicts: list[dict[int, int]] = [{} for _ in range(SHORT_FACTOR_LEN + 1)]
-        # per push: the suffix lengths above this one were new to fdicts
-        self.fd_low: list[int] = []
+        # lrs[p]: length of the longest suffix of word[:p + 1] that also ends
+        # before p. Below S0 it is where the fdicts inserts of push p stopped
+        self.lrs: list[int] = []
         # occ: value of a length-S0 factor -> ascending ends of its occurrences
         self.occ: dict[int, list[int]] = {}
         self.occ_mod = k ** SHORT_FACTOR_LEN
@@ -277,13 +286,15 @@ class SplitOverlapEngine:
         t = self.t
         mg = self.mg
         barred = set()
-        if t:
+        if t and L:
             # a short threat's first q - 1 letters are the word's last q - 1,
-            # so one lookup per length answers every letter
+            # so one lookup per length answers every letter. Every threat is
+            # a factor seen before, so those q - 1 letters are a repeated
+            # suffix: q <= lrs[L - 1] + 1
             tdicts = self.tdicts
             powk = self.powk
             tail = self.pref[L] % self.occ_mod  # the last S0 letters
-            for q in range(1, min(L - mg, SHORT_FACTOR_LEN) + 1):
+            for q in range(1, min(L - mg, SHORT_FACTOR_LEN, self.lrs[-1] + 1) + 1):
                 d = tdicts[q]
                 if d:
                     hits = d.get(tail % powk[q - 1])
@@ -322,7 +333,17 @@ class SplitOverlapEngine:
     def _period_violates(self, a: int, row: dict[int, int]) -> bool:
         """The per-letter part of the check: factors pinned by the suffix
         (every length when t = 0, else by the periods in row, which come in
-        ascending order) and threats longer than S0."""
+        ascending order) and threats longer than S0.
+
+        Each pinned x is looked up only if it can have occurred before: a
+        factor with a known end p that is longer than lrs[p] has no earlier
+        occurrence, and every lookup bound lies below its p. Since
+        lrs[p] <= lrs[p - 1] + 1, e + lrs[p - e] never decreases as e grows,
+        so the loops below run from the longest offset down and stop at the
+        first x too long to repeat. A run in row is a repeated suffix too
+        (r - 1 <= lrs[L - 1]), which caps the offsets, and with them the
+        periods worth visiting, before the loops start.
+        """
         L = len(self.word)
         ell = L + 1
         t = self.t
@@ -331,12 +352,16 @@ class SplitOverlapEngine:
         pref = self.pref
         powk = self.powk
         mmin = self.mmin
+        lrs = self.lrs
         pL = pref[L]
         fdicts = self.fdicts
         occ = self.occ
         occ_mod = self.occ_mod
         if t == 0:
-            for q in range(1, L - mg + 1):
+            if not L:
+                return False
+            # the new suffix of length q extends the old one of length q - 1
+            for q in range(1, min(L - mg, lrs[-1] + 1) + 1):
                 v = (pL - pref[ell - q] * powk[q - 1]) * k + a
                 if q <= SHORT_FACTOR_LEN:
                     e = fdicts[q].get(v)
@@ -345,30 +370,44 @@ class SplitOverlapEngine:
                 elif v % occ_mod in occ and self._occurs_long(q, v, L - q - mg):
                     return True
             return False
-        if ell > SHORT_FACTOR_LEN and self.tocc:
-            # a longer threat can match only if it ends in the suffix's last S0
+        if ell > SHORT_FACTOR_LEN and self.tocc and lrs[-1] >= SHORT_FACTOR_LEN:
+            # a longer threat can match only if it ends in the suffix's last
+            # S0, and (being a factor seen before) only if its first q - 1
+            # letters are a repeated suffix
             threats = self.tocc.get(
                 (pL - pref[ell - SHORT_FACTOR_LEN] * powk[SHORT_FACTOR_LEN - 1]) * k + a
             )
             if threats:
                 tdicts = self.tdicts
+                qmax = min(L - mg, lrs[-1] + 1)
                 for q, v in threats:
                     if (
-                        q <= L - mg
+                        q <= qmax
                         and (pL - pref[ell - q] * powk[q - 1]) * k + a == v
                         and tdicts[q][v] <= L - q - mg
                     ):
                         return True
+        if not row:
+            return False
+        # a period m >= mmin in row has a run r <= m + t - 1 (no t-overlap)
+        mfit = (ell - t - mg) // 2  # longer periods leave no room for x
         if not self.rev:
-            # z = suffix V.P.P[:t] with period m; x = P[:m-g] seen earlier
+            # z = suffix V.P.P[:t] with period m; x = P[:m-g] seen earlier,
+            # the factor of length m - g ending at L - t - g, g <= r - t
+            gtop = lrs[-1] + 1 - t
+            mcap = gtop + lrs[L - t - gtop] if gtop >= 0 else 0
+            if mcap > mfit:
+                mcap = mfit
             for m, r in row.items():
-                if ell < 2 * m + t + mg:
+                if m > mcap:
                     break  # so are all longer periods
                 if r < t or m < mmin:
                     continue
                 base = pref[ell - m - t]
-                for g in range((r - t if r - t < m - 1 else m - 1) + 1):
+                for g in range(r - t, -1, -1):
                     s = m - g
+                    if s > lrs[L - t - g]:
+                        break
                     v = pref[ell - t - g] - base * powk[s]
                     if s <= SHORT_FACTOR_LEN:
                         e = fdicts[s].get(v)
@@ -378,14 +417,55 @@ class SplitOverlapEngine:
                         s, v, L - m - t - g - mg
                     ):
                         return True
+            if t > 1:
+                # z = the suffix of length m + t - c with period m, 0 < c < t
+                # (x.z splits the t-overlap inside its second period): z[:m]
+                # is y, ending at L - (t - c), and x = y[-c:].y seen earlier
+                mcap = max(lrs[L - t + 1 :])  # y must repeat
+                if mcap > mfit:
+                    mcap = mfit
+                for m, r in row.items():
+                    if m > mcap:
+                        break
+                    if m < mmin:
+                        continue
+                    pm = powk[m]
+                    for c in range(t - r if t - r > 1 else 1, t):
+                        p = L - t + c
+                        if m > lrs[p]:
+                            continue
+                        pe = pref[p + 1]
+                        v = (pe - pref[p + 1 - c] * powk[c]) * pm + (
+                            pe - pref[p + 1 - m] * pm
+                        )
+                        s = m + c
+                        bound = L - m - t + c - mg
+                        if s <= SHORT_FACTOR_LEN:
+                            e = fdicts[s].get(v)
+                            if e is not None and e <= bound:
+                                return True
+                        elif v % occ_mod in occ and self._occurs_long(s, v, bound):
+                            return True
         else:
-            # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen earlier
+            # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen
+            # earlier. With j = s - m: for j > t, x is the factor of length
+            # m + t - j ending at L - (j - t); for j <= t it starts with the
+            # new suffix of length m, which extends a repeated old suffix.
+            # h = j - t <= r - t <= lrs[L - 1] + 1 - t
+            lrs1 = lrs[-1] + 1
+            htop = lrs1 - t if lrs1 - t > 1 else 1
+            mcap = htop + lrs[L - htop]
+            if mcap > mfit:
+                mcap = mfit
             for m, r in row.items():
-                if ell < 2 * m + t + mg:
+                if m > mcap:
                     break  # so are all longer periods
                 if m < mmin:
                     continue
-                for s in range(m + 1, min(m + r, 2 * m + t - 1) + 1):
+                for s in range(m + r, m, -1):
+                    h = s - m - t
+                    if m > (h + lrs[L - h] if h > 1 else lrs1):
+                        break
                     xlen = 2 * m + t - s
                     zstart = ell - s
                     v2 = pref[zstart + t] - pref[zstart] * powk[t]
@@ -444,38 +524,42 @@ class SplitOverlapEngine:
             d[v] = L
             q -= 1
             v %= powk[q]
-        self.fd_low.append(q)
+        lrs = self.lrs
+        if q == SHORT_FACTOR_LEN:
+            # the repeated suffix may be longer than S0, by at most one letter
+            # more than the previous one
+            top = lrs[-1] + 1
+            while q < top and self._occurs_long(
+                q + 1, pe - pref[ell - q - 1] * powk[q + 1], L - 1
+            ):
+                q += 1
+        lrs.append(q)
         armed: list[tuple[int, int]] = []  # (length, value) of each threat
         if t > 0:
+            # a run r of period m >= mmin fits in the word (r <= L - m + 1)
+            # and stops short of a t-overlap (r <= m + t - 1)
             mmin = self.mmin
             if not self.rev:
                 # x = P.P[:c] ending here arms the exact string (P.P[:t])[c:]:
-                # the next q letters of the period-m run, starting at ell - m
+                # the next q letters of the period-m run, starting at ell - m,
+                # which all lie in the word. Only c >= t: a shorter x is
+                # pinned by its z, and the check looks it up at the suffix
                 for m, r in row.items():
-                    if m < mmin:
+                    if m < mmin or r < t:
                         continue
                     base = pref[ell - m]
-                    for c in range(1, min(r, m + t - 1, L - m + 1) + 1):
+                    for c in range(t, r + 1):
                         q = m + t - c
-                        if c >= t:
-                            # all q letters already lie in the word
-                            v = pref[ell - c + t] - base * powk[q]
-                        else:
-                            # q > m: the last m letters, then their first t - c
-                            v = (pe - base * powk[m]) * powk[t - c] + (
-                                pref[ell - m + t - c] - base * powk[t - c]
-                            )
-                        armed.append((q, v))
+                        armed.append((q, pref[ell - c + t] - base * powk[q]))
             else:
                 # x = Q[s:].Q ending here arms the exact string Q[:s]
                 for m, r in row.items():
                     if m < mmin or r < t:
                         continue
                     start = L - m - t + 1
-                    for s in range(max(1, m + t - r, 2 * m + t - 1 - L), m + 1):
-                        if start < 0 or L - (2 * m + t - s) + 1 < 0:
-                            continue
-                        armed.append((s, pref[start + s] - pref[start] * powk[s]))
+                    base = pref[start]
+                    for s in range(m + t - r, m + 1):
+                        armed.append((s, pref[start + s] - base * powk[s]))
         ttrail: list[tuple[int, int]] = []
         if armed:
             tdicts = self.tdicts
@@ -513,7 +597,7 @@ class SplitOverlapEngine:
             ends.pop()
             if not ends:
                 del self.occ[v]
-        low = self.fd_low.pop()
+        low = self.lrs.pop()
         fdicts = self.fdicts
         while q > low:
             del fdicts[q][v]

@@ -109,6 +109,16 @@ def find_disjoint(w, n):
     return None
 
 
+def longest_repeated_suffix(w):
+    """Length of the longest suffix of w that also ends earlier in w."""
+    text = bytes(w)
+    n = len(text)
+    length = 0
+    while length < n - 1 and text.find(text[n - length - 1 :], 0, n - 1) != -1:
+        length += 1
+    return length
+
+
 def violates_problem(w, kind, param, min_gap=0):
     """Problem-level violation: for split kinds a contiguous t-overlap factor
     also counts (for the plain split kind with empty gaps that is implied)."""

@@ -14,6 +14,7 @@ from splitrep.cli import (
     RunReport,
     main,
 )
+from splitrep.words import parse_word
 
 
 def run_cli(*argv):
@@ -142,6 +143,16 @@ class TestConstructCommand:
         out = capsys.readouterr().out
         assert "word: 01010" in out
         assert "occurrences: 2" in out
+
+    def test_no_disjoint_pair_check_sees_every_pair(self):
+        from splitrep.cli import _no_disjoint_of
+
+        # 000 starts at 0..4 in 0000000: each start overlaps the next, but
+        # the occurrences at 0 and 3 are disjoint
+        assert not _no_disjoint_of(parse_word("0000000", 2), parse_word("000", 2))
+        assert _no_disjoint_of(parse_word("00000", 2), parse_word("000", 2))
+        assert _no_disjoint_of(parse_word("01010", 2), parse_word("010", 2))
+        assert _no_disjoint_of(parse_word("0110", 2), parse_word("010", 2))
 
 
 class TestTableCommand:

@@ -146,8 +146,9 @@ class TestIndexAgainstReference:
     earlier position so that long repeated factors (and hence long-factor
     queries that succeed) occur. Every step compares can_extend for every
     letter, the batched verdicts and their run rows, and the try_push
-    verdict with the reference engine, and probes the long-factor lookup on
-    factors of the current word directly.
+    verdict with the reference engine, checks the longest repeated suffix
+    of every prefix against brute force, and probes the long-factor lookup
+    on factors of the current word directly.
     """
 
     STEPS = 1000
@@ -165,8 +166,10 @@ class TestIndexAgainstReference:
                 k, t, convention.min_gap, reversed_mode=rev
             )
             word = engine.word
+            lrs = []  # brute-force longest repeated suffix of each prefix
             copy_from = None
             for _ in range(self.STEPS):
+                assert engine.lrs == lrs, word
                 verdicts = [ref.can_extend(a) for a in range(k)]
                 assert [engine.can_extend(a) for a in range(k)] == verdicts, word
                 # tokens come back in the order the letters are given
@@ -182,6 +185,7 @@ class TestIndexAgainstReference:
                     for _ in range(rng.randrange(1, min(len(word), 40) + 1)):
                         engine.pop()
                         ref.pop()
+                        lrs.pop()
                     copy_from = None
                     continue
                 if copy_from is None and len(word) > 20 and rng.random() < 0.05:
@@ -193,7 +197,9 @@ class TestIndexAgainstReference:
                     a = rng.randrange(k)
                 pushed = engine.try_push(a)
                 assert ref.try_push(a) == pushed == verdicts[a], word
-                if not pushed:
+                if pushed:
+                    lrs.append(oracles.longest_repeated_suffix(word))
+                else:
                     copy_from = None
                 self._probe_long_lookup(engine, ref, rng)
             assert engine.word == ref.word
@@ -213,6 +219,19 @@ class TestIndexAgainstReference:
         assert find_split_t_overlap(parse_word(text[:-1], 3), 4, convention) is None
         v = find_split_t_overlap(parse_word(text, 3), 4, convention)
         assert v.x_span == (44, 61) and v.z_span == (63, 76)
+
+    def test_short_run_split_threat_at_suffix(self):
+        # the last letter completes x = 01101 (period 3 plus two letters)
+        # before z = 1011: x.z is the 3-overlap 011.011.011 with
+        # m < |x| < m + t, which no armed threat covers; the check finds it
+        # by looking x up from the suffix z
+        text = "0000000110101011"
+        engine = SplitOverlapEngine(2, 3)
+        assert all(engine.try_push(int(c)) for c in text[:-1])
+        assert not engine.can_extend(int(text[-1]))
+        assert find_split_t_overlap(parse_word(text[:-1], 2), 3) is None
+        v = find_split_t_overlap(parse_word(text, 2), 3)
+        assert v.x_span == (6, 10) and v.z_span == (12, 15)
 
     @staticmethod
     def _probe_long_lookup(engine, ref, rng):
@@ -428,6 +447,43 @@ class TestFrontier:
         b = frontier_lower_bound(problem, SearchBudget(nodes=20_000), rng_seed=5)
         assert outcome_key(a) == outcome_key(b)
         assert verify_witness(problem, a.witness)
+
+    @pytest.mark.parametrize(
+        "kind,k,t,start",
+        [
+            # the first 110 letters of long stored words; no S(3,2) word over
+            # 100 letters is known (the table gives >= 97), so S(4,2) stands
+            # in for the split kind
+            (
+                "R", 2, 4,
+                "00010000001101101110000110101111000001110011010100000110111110"
+                "011010010000011011110010010000011010010111111000",
+            ),
+            (
+                "S", 4, 2,
+                "00010023111300113331222113212233103323132011231220133112031032"
+                "003113010213021120213311021223113002130120332300",
+            ),
+        ],
+    )
+    def test_long_witness_replays_in_reference_engine(self, kind, k, t, start):
+        # above 100 letters verify_witness replays the package engine; the
+        # reference engine shares no code with it
+        problem = SearchProblem(ProblemKind(kind), k, t)
+        out = frontier_lower_bound(
+            problem, SearchBudget(nodes=3_000), seed=parse_word(start, k),
+            strategy="restarts", rng_seed=2, dive_nodes=200,
+        )
+        assert out.max_length >= len(start) > 100
+        ref = oracles.AllLengthsSplitEngine(
+            k, t, problem.convention.min_gap, reversed_mode=kind == "R"
+        )
+        assert all(ref.try_push(a) for a in out.witness.symbols)
+        engine = problem.engine()
+        assert all(engine.try_push(a) for a in out.witness.symbols)
+        assert [engine.can_extend(a) for a in range(k)] == [
+            ref.can_extend(a) for a in range(k)
+        ]
 
 
 class TestRestartsRegression:
