@@ -44,13 +44,6 @@ def load_known_cells() -> list[KnownCell]:
     ]
 
 
-def known_cell(table: str, k: int, param: int) -> KnownCell | None:
-    for cell in load_known_cells():
-        if cell.table == table and cell.k == k and cell.param == param:
-            return cell
-    return None
-
-
 def exact_c_values() -> dict[tuple[int, int], int]:
     """All exactly known C(k, n) values, for bound composition."""
     return {

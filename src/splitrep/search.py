@@ -2,18 +2,29 @@
 
 Three problem kinds: no two disjoint occurrences of a length-n factor
 (the quantity C(k,n)), no split occurrence of a t-overlap (S(k,t)), and
-no reversed split occurrence (R(k,t)). The search is a depth-first walk
-of the k-ary extension tree with canonical symmetry breaking (first
-occurrences of letters in increasing order), incremental suffix-anchored
-violation checks, and an optional certified depth cap: when a word
-reaches a proven upper bound the search stops with an exact result.
+no reversed split occurrence (R(k,t)). Every search runs one walk,
+_walk: depth-first through the k-ary extension tree with canonical
+symmetry breaking (first occurrences of letters in increasing order),
+the engine's incremental suffix-anchored checks asked once per node, a
+node budget and a deadline. Each search supplies only its policy, in the
+visit() called after every accepted letter:
+
+- _dfs (longest_avoiding) keeps the best word, stops with an exact
+  result when a word reaches a certified upper bound, and prunes by
+  reachability;
+- _enumerate_prefixes records the words of the split depth;
+- the lex frontier resumes from a checkpointed prefix and prunes by
+  reachability;
+- the restarts frontier dives below random cuts of the incumbent,
+  letters shuffled.
 
 Determinism: letters are tried in increasing order, so the first word
 found at any length is the lexicographically least; node budgets are
-counted in extension attempts. A search is split at a fixed depth into
-independent subtree tasks executed by a worker pool; the task list, the
-per-task budgets and the merge are functions of the problem alone, so
-runs with different worker counts report identical outcomes.
+counted in extension attempts, and a budget of N tries exactly N. A
+search is split at a fixed depth into independent subtree tasks executed
+by a worker pool; the task list, the per-task budgets and the merge are
+functions of the problem alone, so runs with different worker counts
+report identical outcomes. SearchBudget.seconds caps the whole search.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import counting
 from .detect import (
@@ -97,7 +108,7 @@ class SearchBudget:
     """Limits for one search. nodes is the per-task extension-attempt cap."""
 
     nodes: int | None = None
-    seconds: float | None = None    # wall-clock cap; when it fires, no Exact status
+    seconds: float | None = None    # whole-search wall clock; no Exact status if hit
     split_depth: int | None = None  # None: choose from the problem; 0: single task
     workers: int = 1
 
@@ -145,12 +156,6 @@ class SearchState:
             return True
         return False
 
-    def verdicts(self) -> list:
-        """The engine's verdicts for the canonical letters at this node (every
-        letter used so far and the first unused one), in increasing order."""
-        k = self.problem.k
-        return self.engine.verdicts(range(min(self.maxused[-1] + 1, k - 1) + 1))
-
     def commit(self, letter: int, token) -> None:
         """Append letter with the token the engine's verdicts gave it at this
         node, without checking it again."""
@@ -161,22 +166,100 @@ class SearchState:
         self.engine.pop()
         self.maxused.pop()
 
-    def to_word(self) -> Word:
-        return Word(tuple(self.engine.word), self.problem.k)
-
 
 def extend_check(state: SearchState, letter: int) -> bool:
     """True iff appending letter introduces no violation (state unchanged)."""
     return state.can_extend(letter)
 
 
+# what a walk's visit() asks for after each accepted letter
+_DESCEND, _BACK, _STOP = 0, 1, 2
+
+
+def _walk(
+    state: SearchState,
+    visit,
+    *,
+    max_nodes: int | None = None,
+    deadline: float | None = None,
+    clock: int = 0,
+    order=None,
+    frames: list | None = None,
+    on_node=None,
+) -> tuple[int, str]:
+    """The depth-first walk below the current state that every search runs.
+
+    A frame per depth holds [letters, tokens, next index]. A frame's letters
+    are the canonical ones (every letter used so far and the first unused
+    one), in increasing order or shuffled in place by order(); they and
+    their engine verdicts are filled in when the frame is first visited, so
+    frames given with None in both (resumed frames) work too. Each letter
+    tried is one node: a budget of max_nodes tries exactly that many. The
+    deadline is tested every 4096 nodes of the caller's running count,
+    clock + nodes, which on_node also receives before each node is tried.
+    After each accepted letter, visit() returns _DESCEND, _BACK (undo the
+    letter) or _STOP.
+
+    Returns the nodes tried and why the walk ended: "exhausted", "budget",
+    "deadline" or "stopped". The engine is left where the walk ended.
+    """
+    k = state.problem.k
+    maxused = state.maxused
+    verdicts = state.engine.verdicts
+    commit, pop = state.commit, state.pop
+    descend, back = _DESCEND, _BACK
+    if max_nodes is None:
+        max_nodes = -1  # never equal to the count
+    if frames is None:
+        frames = [[None, None, 0]]
+    nodes = 0
+    while frames:
+        frame = frames[-1]
+        letters, tokens, i = frame
+        if letters is None:
+            letters = range(min(maxused[-1] + 2, k))
+            if order is not None:
+                letters = list(letters)
+                order(letters)
+            tokens = verdicts(letters)
+            frame[0], frame[1] = letters, tokens
+        if i >= len(letters):
+            frames.pop()
+            if frames:
+                pop()
+            continue
+        if nodes == max_nodes:
+            return nodes, "budget"
+        if (
+            deadline is not None
+            and (clock + nodes) % 4096 == 0
+            and time.monotonic() > deadline
+        ):
+            return nodes, "deadline"
+        frame[2] = i + 1
+        nodes += 1
+        if on_node is not None:
+            on_node(clock + nodes)
+        token = tokens[i]
+        if token is not None:
+            commit(letters[i], token)
+            action = visit()
+            if action == descend:
+                frames.append([None, None, 0])
+            elif action == back:
+                pop()
+            else:
+                return nodes, "stopped"
+    return nodes, "exhausted"
+
+
 @dataclass
 class _TaskResult:
-    best_len: int
     best: list[int]
     nodes: int
     exhausted: bool
     cap_hit: bool
+    all_best: list[list[int]] = field(default_factory=list)
 
 
 def _dfs(
@@ -187,29 +270,20 @@ def _dfs(
     deadline: float | None,
     collect_all: bool = False,
     achievable_cap: bool = False,
-) -> tuple[_TaskResult, list[list[int]]]:
+) -> _TaskResult:
     """Depth-first walk below the current state, letters in increasing order.
 
     Starts with best = current word. cap is a certified upper bound: the
     first word reaching it ends the walk (unless collect_all). When a
     matching lower-bound certificate exists (achievable_cap), branches
     that cannot reach the cap are pruned outright; otherwise pruning is
-    against the best length found so far. Returns the task result and,
-    when collect_all, every maximal-length word seen.
+    against the best length found so far. When collect_all, the result
+    also lists every maximal-length word seen.
     """
     engine = state.engine
     word = engine.word
-    base_depth = len(word)
-    best_len = len(word)
     best = word.copy()
     all_best: list[list[int]] = [word.copy()] if collect_all else []
-    nodes = 0
-    # one frame per depth: the next letter to try and the tokens of every
-    # canonical letter, checked together when the frame is entered
-    next_letter = [0]
-    tokens = [state.verdicts()]
-    exhausted = True
-    cap_hit = False
     # reachability pruning loses tied maxima, which only matters to collect_all
     bound_fn = (
         engine.max_reachable_length
@@ -217,48 +291,26 @@ def _dfs(
         else None
     )
     floor = cap - 1 if (achievable_cap and cap is not None) else None
-    while next_letter:
-        a = next_letter[-1]
-        if a >= len(tokens[-1]):
-            next_letter.pop()
-            tokens.pop()
-            if next_letter:
-                state.pop()
-            continue
-        next_letter[-1] += 1
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            nodes -= 1
-            exhausted = False
-            break
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            exhausted = False
-            break
-        token = tokens[-1][a]
-        if token is not None:
-            state.commit(a, token)
-            depth = len(word)
-            if depth > best_len:
-                best_len = depth
-                best = word.copy()
-                if collect_all:
-                    all_best = [word.copy()]
-                if cap is not None and best_len >= cap and not collect_all:
-                    exhausted = False
-                    cap_hit = True
-                    break
-            elif collect_all and depth == best_len:
-                all_best.append(word.copy())
-            if bound_fn is not None and bound_fn() <= (
-                best_len if floor is None else floor
-            ):
-                state.pop()
-            else:
-                next_letter.append(0)
-                tokens.append(state.verdicts())
-    while len(word) > base_depth:
-        state.pop()
-    return _TaskResult(best_len, best, nodes, exhausted, cap_hit), all_best
+
+    def visit():
+        nonlocal best, all_best
+        depth = len(word)
+        if depth > len(best):
+            best = word.copy()
+            if collect_all:
+                all_best = [word.copy()]
+            elif cap is not None and depth >= cap:
+                return _STOP
+        elif collect_all and depth == len(best):
+            all_best.append(word.copy())
+        if bound_fn is not None and bound_fn() <= (
+            len(best) if floor is None else floor
+        ):
+            return _BACK
+        return _DESCEND
+
+    nodes, why = _walk(state, visit, max_nodes=max_nodes, deadline=deadline)
+    return _TaskResult(best, nodes, why == "exhausted", why == "stopped", all_best)
 
 
 def _replay(problem: SearchProblem, prefix: list[int]) -> SearchState:
@@ -286,40 +338,25 @@ def _move_to(state: SearchState, target: list[int]) -> None:
 
 def _enumerate_prefixes(
     problem: SearchProblem, depth: int
-) -> tuple[list[list[int]], int, int, list[int]]:
+) -> tuple[list[list[int]], int, list[int]]:
     """All canonical violation-free words of exactly the given length, in
     lexicographic order, plus attempts spent and the longest word seen."""
     state = SearchState(problem)
     word = state.engine.word
     out: list[list[int]] = []
-    nodes = 0
-    best_len = 0
     best: list[int] = []
-    next_letter = [0]
-    tokens = [state.verdicts()]
-    while next_letter:
-        a = next_letter[-1]
-        if a >= len(tokens[-1]):
-            next_letter.pop()
-            tokens.pop()
-            if next_letter:
-                state.pop()
-            continue
-        next_letter[-1] += 1
-        nodes += 1
-        token = tokens[-1][a]
-        if token is not None:
-            state.commit(a, token)
-            if len(word) > best_len:
-                best_len = len(word)
-                best = word.copy()
-            if len(word) == depth:
-                out.append(word.copy())
-                state.pop()
-            else:
-                next_letter.append(0)
-                tokens.append(state.verdicts())
-    return out, nodes, best_len, best
+
+    def visit():
+        nonlocal best
+        if len(word) > len(best):
+            best = word.copy()
+        if len(word) == depth:
+            out.append(word.copy())
+            return _BACK
+        return _DESCEND
+
+    nodes, _ = _walk(state, visit)
+    return out, nodes, best
 
 
 def _plan_tasks(problem: SearchProblem):
@@ -329,21 +366,20 @@ def _plan_tasks(problem: SearchProblem):
     reports are identical across pool sizes.
     """
     for depth in range(1, _MAX_SPLIT_DEPTH + 1):
-        prefixes, nodes, best_len, best = _enumerate_prefixes(problem, depth)
-        if len(prefixes) >= _TARGET_TASKS or best_len < depth:
-            return depth, prefixes, nodes, best_len, best
-    return _MAX_SPLIT_DEPTH, prefixes, nodes, best_len, best
+        prefixes, nodes, best = _enumerate_prefixes(problem, depth)
+        if len(prefixes) >= _TARGET_TASKS or len(best) < depth:
+            return depth, prefixes, nodes, best
+    return _MAX_SPLIT_DEPTH, prefixes, nodes, best
 
 
 def _run_task(args) -> _TaskResult:
-    problem, prefix, max_nodes, cap, time_left, achievable = args
-    state = _replay(problem, prefix)
-    deadline = time.monotonic() + time_left if time_left is not None else None
-    result, _ = _dfs(
-        state, max_nodes=max_nodes, cap=cap, deadline=deadline,
-        achievable_cap=achievable,
+    # deadline is absolute on the system-wide monotonic clock, which forked
+    # workers share
+    problem, prefix, max_nodes, cap, deadline, achievable, collect_all = args
+    return _dfs(
+        _replay(problem, prefix), max_nodes=max_nodes, cap=cap,
+        deadline=deadline, collect_all=collect_all, achievable_cap=achievable,
     )
-    return result
 
 
 def certified_cap(problem: SearchProblem) -> int | None:
@@ -401,42 +437,22 @@ def longest_avoiding(
     deadline = start + budget.seconds if budget.seconds is not None else None
     cap = None if collect_all_witnesses else certified_cap(problem)
     achievable = cap is not None and _cap_achievable(problem, cap)
-    split_depth = budget.split_depth
-    if collect_all_witnesses:
-        split_depth = 0
+    split_depth = 0 if collect_all_witnesses else budget.split_depth
     if split_depth == 0:
-        state = SearchState(problem)
-        result, all_best = _dfs(
-            state,
-            max_nodes=budget.nodes,
-            cap=cap,
-            deadline=deadline,
-            collect_all=collect_all_witnesses,
-            achievable_cap=achievable,
-        )
-        return _merge(problem, budget, [result], 0, True, start, all_best)
-
-    if split_depth is None:
-        split_depth, prefixes, prefix_nodes, prefix_best_len, prefix_best = (
-            _plan_tasks(problem)
-        )
+        prefixes, prefix_nodes = [[]], 0
     else:
-        prefixes, prefix_nodes, prefix_best_len, prefix_best = _enumerate_prefixes(
-            problem, split_depth
-        )
-    if not prefixes:
-        # the whole tree is shallower than the split depth
-        result = _TaskResult(prefix_best_len, prefix_best, prefix_nodes, True, False)
-        return _merge(problem, budget, [result], 0, True, start, [])
+        if split_depth is None:
+            _, prefixes, prefix_nodes, prefix_best = _plan_tasks(problem)
+        else:
+            prefixes, prefix_nodes, prefix_best = _enumerate_prefixes(
+                problem, split_depth
+            )
+        if not prefixes:
+            # the whole tree is shallower than the split depth
+            result = _TaskResult(prefix_best, prefix_nodes, True, False)
+            return _merge(problem, budget, [result], 0, start)
     tasks = [
-        (
-            problem,
-            p,
-            budget.nodes,
-            cap,
-            None if deadline is None else deadline - time.monotonic(),
-            achievable,
-        )
+        (problem, p, budget.nodes, cap, deadline, achievable, collect_all_witnesses)
         for p in prefixes
     ]
     results: list[_TaskResult] = []
@@ -453,7 +469,7 @@ def longest_avoiding(
             results.append(result)
             if result.cap_hit:
                 break
-    return _merge(problem, budget, results, prefix_nodes, True, start, [])
+    return _merge(problem, budget, results, prefix_nodes, start)
 
 
 def _merge(
@@ -461,16 +477,15 @@ def _merge(
     budget: SearchBudget,
     results: list[_TaskResult],
     prefix_nodes: int,
-    prefixes_exhausted: bool,
     start: float,
-    all_best: list[list[int]],
 ) -> SearchOutcome:
     nodes = prefix_nodes + sum(r.nodes for r in results)
-    best_len = max(r.best_len for r in results)
-    best = next(r.best for r in results if r.best_len == best_len)
+    best = max((r.best for r in results), key=len)  # the first of the longest
     cap_hit = any(r.cap_hit for r in results)
-    exhausted = all(r.exhausted or r.cap_hit for r in results) and prefixes_exhausted
+    exhausted = all(r.exhausted for r in results)
     status = SearchStatus.EXACT if (cap_hit or exhausted) else SearchStatus.LOWER_BOUND
+    # every maximal word, when the (single) task collected them
+    all_best = [w for r in results for w in r.all_best]
     if all_best:
         witnesses = tuple(Word(tuple(w), problem.k) for w in sorted(all_best))
     else:
@@ -481,7 +496,7 @@ def _merge(
         else f"stopped ({budget.describe()})"
     )
     return SearchOutcome(
-        max_length=best_len,
+        max_length=len(best),
         status=status,
         witnesses=witnesses,
         nodes_explored=nodes,
@@ -601,125 +616,8 @@ def frontier_lower_bound(
         strategy = (
             "lex" if problem.kind is ProblemKind.DISJOINT_FACTORS else "restarts"
         )
-    if strategy == "lex":
-        return _frontier_lex(
-            problem, budget, seed, checkpoint_path, checkpoint_every, resume
-        )
-    if strategy == "restarts":
-        return _frontier_restarts(
-            problem, budget, seed, rng_seed, dive_nodes, tie_swap,
-            checkpoint_path, checkpoint_every, resume,
-        )
-    raise ValueError(f"unknown frontier strategy {strategy!r}")
-
-
-def _frontier_lex(
-    problem: SearchProblem,
-    budget: SearchBudget,
-    seed: Word | None,
-    checkpoint_path,
-    checkpoint_every: int,
-    resume: Checkpoint | None,
-) -> SearchOutcome:
-    start = time.monotonic()
-    deadline = start + budget.seconds if budget.seconds is not None else None
-    if resume is not None:
-        if resume.problem != problem:
-            raise ValueError("checkpoint is for a different problem")
-        prefix = parse_word(resume.prefix, problem.k)
-        state = _replay(problem, list(prefix.symbols))
-        base_nodes = resume.nodes
-        best = list(parse_word(resume.best, problem.k).symbols)
-        next_letter = [a + 1 for a in prefix.symbols] + [0]
-    elif seed is not None:
-        state = _replay(problem, list(seed.symbols))
-        base_nodes = 0
-        best = list(seed.symbols)
-        next_letter = [a + 1 for a in seed.symbols] + [0]
-    else:
-        state = SearchState(problem)
-        base_nodes = 0
-        best = []
-        next_letter = [0]
-
-    engine = state.engine
-    word = engine.word
-    k = problem.k
-    best_len = max(len(best), len(word))
-    nodes = 0
-    max_nodes = budget.nodes
-    last_checkpoint = 0
-    bound_fn = getattr(engine, "max_reachable_length", None)
-    # the frames of a replayed prefix get their tokens when the walk pops
-    # back to them, at their own depth
-    tokens: list[list | None] = [None] * len(next_letter)
-    while next_letter:
-        a = next_letter[-1]
-        frame = tokens[-1]
-        if frame is None:
-            frame = tokens[-1] = state.verdicts()
-        if a >= len(frame):
-            next_letter.pop()
-            tokens.pop()
-            if next_letter:
-                state.pop()
-            continue
-        next_letter[-1] += 1
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            nodes -= 1
-            break
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            break
-        if checkpoint_path is not None and nodes - last_checkpoint >= checkpoint_every:
-            last_checkpoint = nodes
-            _write_checkpoint(
-                checkpoint_path, problem, max_nodes, best_len, best, word,
-                base_nodes + nodes,
-            )
-        token = frame[a]
-        if token is not None:
-            state.commit(a, token)
-            if len(word) > best_len:
-                best_len = len(word)
-                best = word.copy()
-            if bound_fn is not None and bound_fn() <= best_len:
-                state.pop()
-            else:
-                next_letter.append(0)
-                tokens.append(state.verdicts())
-    if checkpoint_path is not None:
-        _write_checkpoint(
-            checkpoint_path, problem, max_nodes, best_len, best, word,
-            base_nodes + nodes,
-        )
-    return SearchOutcome(
-        max_length=best_len,
-        status=SearchStatus.LOWER_BOUND,
-        witnesses=(Word(tuple(best), k),),
-        nodes_explored=base_nodes + nodes,
-        elapsed=time.monotonic() - start,
-        budget_used=f"stopped ({budget.describe()})",
-    )
-
-
-def _frontier_restarts(
-    problem: SearchProblem,
-    budget: SearchBudget,
-    seed: Word | None,
-    rng_seed: int,
-    dive_nodes: int,
-    tie_swap: float,
-    checkpoint_path,
-    checkpoint_every: int,
-    resume: Checkpoint | None,
-) -> SearchOutcome:
-    """Randomized dives below random cuts of the incumbent, deepest-biased.
-
-    Sideways moves (tie_swap) sometimes replace the incumbent with an
-    equal-length word, drifting across plateaus; the cut window widens
-    while the best length stagnates.
-    """
+    if strategy not in ("lex", "restarts"):
+        raise ValueError(f"unknown frontier strategy {strategy!r}")
     start = time.monotonic()
     deadline = start + budget.seconds if budget.seconds is not None else None
     if resume is not None:
@@ -730,21 +628,113 @@ def _frontier_restarts(
     else:
         best = list(seed.symbols) if seed is not None else []
         base_nodes = 0
-    rng = random.Random(rng_seed * 1_000_003 + base_nodes)
-    k = problem.k
-    # one live state for every dive: each dive pops back to its common
-    # prefix with the cut incumbent instead of replaying the cut from scratch
-    state = _replay(problem, best)
-    engine = state.engine
-    verdicts = engine.verdicts
-    word = engine.word
-    maxused = state.maxused
+    max_nodes = budget.nodes
+    if max_nodes is None and strategy == "restarts":
+        max_nodes = 1_000_000
+    save = None
+    if checkpoint_path is not None:
+
+        def save(best, prefix, nodes):
+            _write_checkpoint(
+                checkpoint_path, problem, max_nodes, best, prefix, base_nodes + nodes
+            )
+
+    if strategy == "lex":
+        prefix = best
+        if resume is not None:
+            prefix = list(parse_word(resume.prefix, problem.k).symbols)
+        state = _replay(problem, prefix)
+        best, nodes = _frontier_lex(
+            state, best, max_nodes, deadline, save, checkpoint_every
+        )
+        # a lex run resumes from the word where it stopped
+        prefix = state.engine.word
+    else:
+        # one live state for every dive: each dive pops back to its common
+        # prefix with the cut incumbent instead of replaying the cut
+        state = _replay(problem, best)
+        rng = random.Random(rng_seed * 1_000_003 + base_nodes)
+        best, nodes = _frontier_restarts(
+            state, best, max_nodes, deadline, save, checkpoint_every,
+            rng, dive_nodes, tie_swap,
+        )
+        prefix = best
+    if save is not None:
+        save(best, prefix, nodes)
+    return SearchOutcome(
+        max_length=len(best),
+        status=SearchStatus.LOWER_BOUND,
+        witnesses=(Word(tuple(best), problem.k),),
+        nodes_explored=base_nodes + nodes,
+        elapsed=time.monotonic() - start,
+        budget_used=f"stopped ({budget.describe()})",
+    )
+
+
+def _every(step: int, fn):
+    """An on_node hook that calls fn(nodes) each time step more nodes have
+    been counted since its last call."""
+    last = 0
+
+    def on_node(nodes):
+        nonlocal last
+        if nodes - last >= step:
+            last = nodes
+            fn(nodes)
+
+    return on_node
+
+
+def _frontier_lex(state, best, max_nodes, deadline, save, every):
+    """Walk the tree in letter order from the state's word, as if the walk
+    had reached it: the letters below each of its letters are done. With
+    reachability pruning for the disjoint-factor kind."""
+    word = state.engine.word
+    bound_fn = getattr(state.engine, "max_reachable_length", None)
+
+    def visit():
+        nonlocal best
+        if len(word) > len(best):
+            best = word.copy()
+        if bound_fn is not None and bound_fn() <= len(best):
+            return _BACK
+        return _DESCEND
+
+    on_node = save and _every(every, lambda nodes: save(best, word, nodes))
+    frames = [[None, None, a + 1] for a in word] + [[None, None, 0]]
+    nodes, _ = _walk(
+        state, visit, max_nodes=max_nodes, deadline=deadline, frames=frames,
+        on_node=on_node,
+    )
+    return best, nodes
+
+
+def _frontier_restarts(
+    state, best, max_nodes, deadline, save, every, rng, dive_nodes, tie_swap
+):
+    """Randomized dives below random cuts of the incumbent, deepest-biased.
+
+    Each dive is a walk of at most dive_nodes nodes in shuffled letter
+    order. Sideways moves (tie_swap) sometimes replace the incumbent with
+    an equal-length word, drifting across plateaus; the cut window widens
+    while the best length stagnates.
+    """
+    word = state.engine.word
+    improved = False
+
+    def visit():
+        nonlocal best, improved
+        if len(word) > len(best):
+            best = word.copy()
+            improved = True
+        elif len(word) == len(best) and tie_swap and rng.random() < tie_swap:
+            best = word.copy()
+        return _DESCEND
+
+    on_node = save and _every(every, lambda nodes: save(best, best, nodes))
     nodes = 0
-    max_nodes = budget.nodes if budget.nodes is not None else 1_000_000
-    last_checkpoint = 0
-    stop = False
     stale = 0  # dives since the incumbent last improved; widens the cut window
-    while not stop and nodes < max_nodes:
+    while nodes < max_nodes:
         window = 40 + 20 * (stale // 64)
         if not best:
             cut = 0
@@ -753,80 +743,25 @@ def _frontier_restarts(
         else:
             cut = rng.randrange(0, len(best) + 1)
         _move_to(state, best[:cut])
-        letters = list(range(min(maxused[-1] + 2, k)))
-        rng.shuffle(letters)
-        # frame: letters in trial order, their tokens, index of the next one
-        stack = [[letters, verdicts(letters), 0]]
-        dive = 0
         improved = False
-        while stack and dive < dive_nodes:
-            frame = stack[-1]
-            letters, frame_tokens, idx = frame
-            if idx >= len(letters):
-                stack.pop()
-                if stack:
-                    state.pop()
-                continue
-            frame[2] += 1
-            a = letters[idx]
-            nodes += 1
-            dive += 1
-            if nodes >= max_nodes:
-                break
-            if (
-                deadline is not None
-                and nodes % 4096 == 0
-                and time.monotonic() > deadline
-            ):
-                stop = True
-                break
-            if (
-                checkpoint_path is not None
-                and nodes - last_checkpoint >= checkpoint_every
-            ):
-                last_checkpoint = nodes
-                _write_checkpoint(
-                    checkpoint_path, problem, max_nodes, len(best), best, best,
-                    base_nodes + nodes,
-                )
-            token = frame_tokens[idx]
-            if token is not None:
-                state.commit(a, token)
-                if len(word) > len(best):
-                    best = word.copy()
-                    improved = True
-                elif (
-                    len(word) == len(best)
-                    and tie_swap
-                    and rng.random() < tie_swap
-                ):
-                    best = word.copy()
-                ls = list(range(min(maxused[-1] + 2, k)))
-                rng.shuffle(ls)
-                stack.append([ls, verdicts(ls), 0])
-        stale = 0 if improved else stale + 1
-    if checkpoint_path is not None:
-        _write_checkpoint(
-            checkpoint_path, problem, max_nodes, len(best), best, best,
-            base_nodes + nodes,
+        dive, why = _walk(
+            state, visit, max_nodes=min(dive_nodes, max_nodes - nodes),
+            deadline=deadline, clock=nodes, order=rng.shuffle, on_node=on_node,
         )
-    return SearchOutcome(
-        max_length=len(best),
-        status=SearchStatus.LOWER_BOUND,
-        witnesses=(Word(tuple(best), k),),
-        nodes_explored=base_nodes + nodes,
-        elapsed=time.monotonic() - start,
-        budget_used=f"stopped ({budget.describe()})",
-    )
+        nodes += dive
+        if why == "deadline":
+            break
+        stale = 0 if improved else stale + 1
+    return best, nodes
 
 
-def _write_checkpoint(path, problem, budget_nodes, best_len, best, word, nodes):
+def _write_checkpoint(path, problem, budget_nodes, best, prefix, nodes):
     cp = Checkpoint(
         problem=problem,
         budget_nodes=budget_nodes,
-        best_len=best_len,
+        best_len=len(best),
         best=format_word(Word(tuple(best), problem.k)),
-        prefix=format_word(Word(tuple(word), problem.k)),
+        prefix=format_word(Word(tuple(prefix), problem.k)),
         nodes=nodes,
     )
     # write-then-rename: a kill mid-write leaves the previous checkpoint intact

@@ -1,6 +1,7 @@
 """Search engines and drivers: oracle agreement, determinism, checkpoints."""
 
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from splitrep.search import (
     longest_avoiding,
     verify_witness,
 )
+from splitrep.search import _plan_tasks, _run_task
 from splitrep.words import Word, format_word, parse_word, word
 
 
@@ -346,6 +348,32 @@ class TestSearchProperties:
         assert out.status is SearchStatus.LOWER_BOUND
         assert out.nodes_explored == 50
 
+    @pytest.mark.parametrize(
+        "kind,k,param,depth,tasks,nodes",
+        [("C", 2, 4, 7, 64, 127), ("S", 4, 1, 6, 70, 162), ("R", 4, 1, 6, 70, 162)],
+    )
+    def test_pinned_task_plan(self, kind, k, param, depth, tasks, nodes):
+        # split depth, prefix count and the attempts spent finding them
+        got = _plan_tasks(SearchProblem(ProblemKind(kind), k, param))
+        assert (got[0], len(got[1]), got[2]) == (depth, tasks, nodes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seconds_caps_the_whole_search(self, workers):
+        # S(2,3) takes about a minute in 64 tasks; the cap holds across all
+        # of them, not per task (a second per task would take over a minute)
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
+        t0 = time.monotonic()
+        out = longest_avoiding(problem, SearchBudget(seconds=1.0, workers=workers))
+        assert time.monotonic() - t0 < 5
+        assert out.status is SearchStatus.LOWER_BOUND
+
+    def test_task_past_its_deadline_returns_at_once(self):
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 4)
+        task = (problem, [0, 0], None, None, time.monotonic() - 1, False, False)
+        result = _run_task(task)
+        assert result.nodes == 0 and not result.exhausted
+        assert result.best == [0, 0]
+
     def test_verify_witness_examples(self):
         c3 = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 3)
         assert verify_witness(c3, parse_word("0000010101111100", 2))
@@ -435,6 +463,31 @@ class TestFrontier:
         assert out.max_length >= 150
         assert verify_witness(problem, out.witness)
 
+    @pytest.mark.parametrize(
+        "kind,k,param,nodes,seed,length,witness",
+        [
+            # the benchmark's lex cell
+            (
+                "C", 2, 6, 60_000, None, 99,
+                "00000000000100001000011000101000111001001001011001101101101010"
+                "1010111010011110111101111111111100000",
+            ),
+            (
+                "C", 2, 5, 2_000, "0000010001100101", 43,
+                "0000010001100101001110101101101111111110000",
+            ),
+        ],
+    )
+    def test_lex_pinned(self, kind, k, param, nodes, seed, length, witness):
+        problem = SearchProblem(ProblemKind(kind), k, param)
+        out = frontier_lower_bound(
+            problem, SearchBudget(nodes=nodes), strategy="lex",
+            seed=None if seed is None else parse_word(seed, k),
+        )
+        assert out.nodes_explored == nodes
+        assert out.max_length == length
+        assert format_word(out.witness) == witness
+
     def test_seed_is_respected(self):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 2)
         seed = parse_word("000110", 2)
@@ -492,11 +545,12 @@ class TestRestartsRegression:
     dives must not move the search path, hence nodes, reach and witness."""
 
     @pytest.mark.parametrize(
-        "kind,k,t,start,max_length,witness",
+        "kind,k,t,start,tie_swap,max_length,witness",
         [
             (
                 "R", 2, 4,
                 "00110101101000100110001111000000111000011111110000011",
+                0.3,
                 85,
                 "0010001110010110100110101000000001101101111001000110111111100"
                 "100100011011110011011000",
@@ -504,22 +558,62 @@ class TestRestartsRegression:
             (
                 "S", 3, 2,
                 "00001021210201022201122011020111201102",
+                0.3,
                 72,
                 "0112101200112220211100120021122100022112021100122011002210112"
                 "20021011202",
             ),
+            (
+                "R", 2, 4,
+                "00110101101000100110001111000000111000011111110000011",
+                0,
+                63,
+                "001101011010010010000111110000011100000011001001111110010001100",
+            ),
         ],
     )
-    def test_pinned_outcome(self, kind, k, t, start, max_length, witness):
+    def test_pinned_outcome(self, kind, k, t, start, tie_swap, max_length, witness):
         problem = SearchProblem(ProblemKind(kind), k, t)
         out = frontier_lower_bound(
             problem, SearchBudget(nodes=6_000), seed=parse_word(start, k),
-            strategy="restarts", rng_seed=11, dive_nodes=200,
+            strategy="restarts", rng_seed=11, dive_nodes=200, tie_swap=tie_swap,
         )
         assert out.nodes_explored == 6_000
         assert out.max_length == max_length
         assert format_word(out.witness) == witness
         assert verify_witness(problem, out.witness)
+
+    def test_pinned_checkpoint_and_resume(self, tmp_path):
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2)
+        path = tmp_path / "s32.ckpt"
+        witness = "01120120211022011100102110002210220011002221002201"
+        part = frontier_lower_bound(
+            problem, SearchBudget(nodes=3_000), strategy="restarts", rng_seed=4,
+            dive_nodes=200, checkpoint_path=path, checkpoint_every=1_000,
+        )
+        assert (part.nodes_explored, format_word(part.witness)) == (3_000, witness)
+        cp = load_checkpoint(path)
+        assert (cp.budget_nodes, cp.nodes, cp.best_len) == (3_000, 3_000, 50)
+        assert cp.best == cp.prefix == witness
+        resumed = frontier_lower_bound(
+            problem, SearchBudget(nodes=3_000), strategy="restarts", rng_seed=4,
+            dive_nodes=200, checkpoint_path=path, resume=cp,
+        )
+        assert resumed.nodes_explored == 6_000
+        assert format_word(resumed.witness) == witness
+        assert load_checkpoint(path).nodes == 6_000
+
+    def test_deadline_stops_a_long_budget(self):
+        # the deadline is tested on the run's node count: a 200-node dive
+        # never counts to 4096 on its own
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2)
+        t0 = time.monotonic()
+        out = frontier_lower_bound(
+            problem, SearchBudget(nodes=10**9, seconds=0.5), strategy="restarts",
+            dive_nodes=200,
+        )
+        assert time.monotonic() - t0 < 5
+        assert 0 < out.nodes_explored < 10**9
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2, 3])
     def test_start_word_with_violation_raises(self, rng_seed):
@@ -547,19 +641,26 @@ class TestCheckpoints:
         assert load_checkpoint(path).render() == first
 
     def test_resume_continues_accumulating(self, tmp_path):
+        # pinned: a resumed lex run restarts at the checkpointed prefix, the
+        # word where the first run stopped
         problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 5)
         path = tmp_path / "c25.ckpt"
+        witness = "00000000010001000110010101010110100111011101111111110000"
         part = frontier_lower_bound(
             problem, SearchBudget(nodes=3_000), strategy="lex", checkpoint_path=path
         )
+        assert format_word(part.witness) == witness
         cp = load_checkpoint(path)
         assert cp.nodes == part.nodes_explored
+        assert cp.prefix == "000000000100010001100101010101111111101001110"
         resumed = frontier_lower_bound(
             problem, SearchBudget(nodes=3_000), strategy="lex",
             checkpoint_path=path, resume=cp,
         )
         assert resumed.nodes_explored == 6_000
-        assert resumed.max_length >= part.max_length
+        assert format_word(resumed.witness) == witness
+        cp = load_checkpoint(path)
+        assert cp.prefix == "0000000001000100011001100101010110111101"
 
     def test_parse_truncated_raises_value_error(self, tmp_path):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
