@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import counting, debruijn
 from .detect import (
     GapConvention,
+    count_nondisjoint_occurrences,
     find_disjoint_pair,
     find_reversed_split_t_overlap,
     find_split_t_overlap,
@@ -40,6 +41,7 @@ from .words import (
     format_word,
     is_primitive,
     is_unbordered,
+    occurrences,
     parse_word,
     period,
 )
@@ -233,14 +235,15 @@ def _problem_from_args(args, parser) -> SearchProblem:
 
 def cmd_search(args, parser) -> int:
     problem = _problem_from_args(parser=parser, args=args)
-    if args.threads < 1:
-        return _usage_error(parser, f"--threads must be >= 1, got {args.threads}")
-    budget = SearchBudget(
-        nodes=args.budget,
-        seconds=args.seconds,
-        split_depth=args.split_depth,
-        workers=args.threads,
-    )
+    try:
+        budget = SearchBudget(
+            nodes=args.budget,
+            seconds=args.seconds,
+            split_depth=args.split_depth,
+            workers=args.threads,
+        )
+    except ValueError as exc:
+        return _usage_error(parser, str(exc))
     start = time.monotonic()
     if args.frontier or args.checkpoint or args.resume:
         seed = _parse_word_arg(parser, args.seed, problem.k) if args.seed else None
@@ -351,8 +354,6 @@ def cmd_construct(args, parser) -> int:
                 parser.error("construct witness needs --x")
             x = _parse_word_arg(parser, args.x, args.k)
             w = counting.occurrence_witness(x)
-            from .detect import count_nondisjoint_occurrences
-
             checks = {
                 "length": len(w),
                 "occurrences": count_nondisjoint_occurrences(w, x),
@@ -381,8 +382,6 @@ def cmd_construct(args, parser) -> int:
 def _no_disjoint_of(w: Word, x: Word) -> bool:
     """True iff no two occurrences of x in w are disjoint: every pair of
     them overlaps, which holds iff the first and the last do."""
-    from .words import occurrences
-
     pos = occurrences(w, x)
     return not pos or pos[-1] - pos[0] < len(x)
 
@@ -391,6 +390,10 @@ def cmd_table(args, parser) -> int:
     table = {"1": "C", "2": "S", "3": "R"}[args.table]
     cells = [c for c in load_known_cells() if c.table == table]
     budget_nodes = args.budget_per_cell
+    try:
+        budget = SearchBudget(nodes=budget_nodes)
+    except ValueError as exc:
+        return _usage_error(parser, str(exc))
     rows = []
     mismatches = 0
     start = time.monotonic()
@@ -407,7 +410,7 @@ def cmd_table(args, parser) -> int:
         if in_default:
             outcome = longest_avoiding(problem)
         elif budget_nodes:
-            outcome = frontier_lower_bound(problem, SearchBudget(nodes=budget_nodes))
+            outcome = frontier_lower_bound(problem, budget)
         else:
             row["computed"] = "skipped"
             row["ok"] = True

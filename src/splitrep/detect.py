@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .words import EmptyWordError, Word
+from .words import Word, occurrences
 
 
 class GapConvention(enum.Enum):
@@ -140,33 +140,21 @@ def find_split_t_overlap(
     w: Word, t: int, convention: GapConvention = GapConvention.EMPTY_OK
 ) -> Violation | None:
     """Least (i, j, j', l) with x = w[i..j], z = w[j'..l] and x·z a t-overlap."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    s = w.symbols
-    n = len(s)
-    mg = convention.min_gap
-    lce = _lce_table(s)
-    for i in range(n):
-        for j in range(i, n):
-            len1 = j - i + 1
-            for jp in range(j + 1 + mg, n):
-                for l in range(jp, n):
-                    if _concat_is_t_overlap(lce, i, len1, jp, l - jp + 1, t):
-                        rep = Word(s[i : j + 1] + s[jp : l + 1], w.k)
-                        return Violation(
-                            kind=ViolationKind.SPLIT_T_OVERLAP,
-                            t_or_n=t,
-                            x_span=(i, j),
-                            z_span=(jp, l),
-                            repetition=rep,
-                        )
-    return None
+    return _find_split(w, t, convention, reversed_kind=False)
 
 
 def find_reversed_split_t_overlap(
     w: Word, t: int, convention: GapConvention = GapConvention.EMPTY_OK
 ) -> Violation | None:
     """Least (i, j, j', l) with x = w[i..j], z = w[j'..l] and z·x a t-overlap."""
+    return _find_split(w, t, convention, reversed_kind=True)
+
+
+def _find_split(
+    w: Word, t: int, convention: GapConvention, reversed_kind: bool
+) -> Violation | None:
+    """Least (i, j, j', l) with x = w[i..j], z = w[j'..l] and x·z a
+    t-overlap, or z·x when reversed_kind."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     s = w.symbols
@@ -178,14 +166,23 @@ def find_reversed_split_t_overlap(
             len1 = j - i + 1
             for jp in range(j + 1 + mg, n):
                 for l in range(jp, n):
-                    if _concat_is_t_overlap(lce, jp, l - jp + 1, i, len1, t):
-                        rep = Word(s[jp : l + 1] + s[i : j + 1], w.k)
+                    len2 = l - jp + 1
+                    if reversed_kind:
+                        hit = _concat_is_t_overlap(lce, jp, len2, i, len1, t)
+                    else:
+                        hit = _concat_is_t_overlap(lce, i, len1, jp, len2, t)
+                    if hit:
+                        x, z = s[i : j + 1], s[jp : l + 1]
+                        if reversed_kind:
+                            kind, rep = ViolationKind.REVERSED_SPLIT_T_OVERLAP, z + x
+                        else:
+                            kind, rep = ViolationKind.SPLIT_T_OVERLAP, x + z
                         return Violation(
-                            kind=ViolationKind.REVERSED_SPLIT_T_OVERLAP,
+                            kind=kind,
                             t_or_n=t,
                             x_span=(i, j),
                             z_span=(jp, l),
-                            repetition=rep,
+                            repetition=Word(rep, w.k),
                         )
     return None
 
@@ -212,9 +209,4 @@ def find_disjoint_pair(w: Word, n: int) -> Violation | None:
 
 def count_nondisjoint_occurrences(w: Word, x: Word) -> int:
     """Number of occurrences of x in w (callers pair it with the cap ceil(n/per))."""
-    if len(x) == 0:
-        raise EmptyWordError("empty pattern")
-    xs = x.symbols
-    s = w.symbols
-    m = len(xs)
-    return sum(1 for i in range(len(s) - m + 1) if s[i : i + m] == xs)
+    return len(occurrences(w, x))

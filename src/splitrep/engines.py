@@ -19,8 +19,8 @@ A depth-first search drives an engine with three calls per node:
     that node, including after pushes below it have been popped.
   * pop() undoes the last append.
 
-can_extend (pure check) and try_push (check and commit) are the same code
-for a single letter.
+can_extend (pure check) and try_push (check and commit) do the same for a
+single letter; both engines share one definition of each.
 
 Factor contents are keyed by their base-k integer value (exact, no
 hashing collisions) via prefix value arrays, so dictionary lookups do the
@@ -32,15 +32,15 @@ occurrence bookkeeping:
     at most S0 = SHORT_FACTOR_LEN, plus an occurrence index `occ` from each
     length-S0 factor to the ascending list of positions where it ends. A
     longer factor is found by walking the ends of its length-S0 suffix and
-    confirming each candidate with an exact value comparison;
+    confirming each candidate with an exact value comparison. `_seen`
+    answers both tiers;
   * split/reversed engines, for the cases where the earlier piece pins the
     block: a "threat" table of exact strings whose later appearance as a
-    suffix completes a violation. A threat of length q <= S0 is filed under
-    the value of its first q - 1 letters, then its last letter: the first
-    q - 1 letters of a matching suffix are the word's own last q - 1, so
-    one lookup per length yields every letter the threats bar. Longer
-    threats are listed under their last S0 letters (`tocc`) and checked per
-    letter, so only threats ending like the suffix are compared.
+    suffix completes a violation. A threat of length q is filed under the
+    value of its first q - 1 letters, then its last letter: the first q - 1
+    letters of a matching suffix are the word's own last q - 1, so one
+    lookup per length yields every letter the threats bar, whatever their
+    length.
 
 A push thus inserts at most S0 factors however deep the word is. It also
 records lrs, the length of the longest suffix that ended earlier too. A
@@ -66,10 +66,24 @@ from .words import failure_function
 # DisjointFactorEngine token for a letter that completes no length-n factor yet
 _NO_GRAM = -1
 
-# S0 in the comments: factors and threats up to this length get exact
-# per-length tables; longer ones are found through occurrence lists keyed by
-# their last S0 letters
+# S0 in the comments: factors up to this length get exact per-length tables;
+# longer ones are found through occurrence lists keyed by their last S0
+# letters
 SHORT_FACTOR_LEN = 12
+
+
+# the single-letter calls, the same code for every engine. Each class binds
+# them in its own namespace, where perfbench's tracer wraps them per class
+def _can_extend(self, a: int) -> bool:
+    return self.verdicts((a,))[0] is not None
+
+
+def _try_push(self, a: int) -> bool:
+    token = self.verdicts((a,))[0]
+    if token is None:
+        return False
+    self.commit(a, token)
+    return True
 
 
 class DisjointFactorEngine:
@@ -138,15 +152,8 @@ class DisjointFactorEngine:
             out.append(g if e is None or e > lim else None)
         return out
 
-    def can_extend(self, a: int) -> bool:
-        return self.verdicts((a,))[0] is not None
-
-    def try_push(self, a: int) -> bool:
-        g = self.verdicts((a,))[0]
-        if g is None:
-            return False
-        self.commit(a, g)
-        return True
+    can_extend = _can_extend
+    try_push = _try_push
 
     def commit(self, a: int, g: int) -> None:
         """Append a with the token verdicts() gave it at the current node; no check."""
@@ -253,19 +260,21 @@ class SplitOverlapEngine:
         # occ: value of a length-S0 factor -> ascending ends of its occurrences
         self.occ: dict[int, list[int]] = {}
         self.occ_mod = k ** SHORT_FACTOR_LEN
-        # tdicts[q], q <= S0: value of a threat's first q - 1 letters ->
-        # {its last letter: earliest x end}; q > S0: threat value -> earliest x end
-        self.tdicts: list[dict] = [{} for _ in range(SHORT_FACTOR_LEN + 1)]
+        # tdicts[q]: value of a threat's first q - 1 letters -> {its last
+        # letter: earliest x end}; grown with powk, one table per length
+        self.tdicts: list[dict[int, dict[int, int]]] = [{}, {}]
         self.td_trail: list[list[tuple[int, int]]] = []   # (length, value) per push
-        # tocc: value of the last S0 letters of a longer threat -> its (q, value)
-        self.tocc: dict[int, list[tuple[int, int]]] = {}
 
-    def _occurs_long(self, s: int, v: int, bound: int) -> bool:
-        """True iff the factor of length s > S0 with value v ends at or before bound.
+    def _seen(self, s: int, v: int, bound: int) -> bool:
+        """True iff the factor of length s with value v ends at or before bound.
 
-        Walks the ends of its length-S0 suffix in ascending order and
-        confirms each candidate by comparing exact values.
+        Up to S0 the per-length table holds its earliest end. A longer factor
+        is found by walking the ends of its length-S0 suffix in ascending
+        order and confirming each candidate by comparing exact values.
         """
+        if s <= SHORT_FACTOR_LEN:
+            e = self.fdicts[s].get(v)
+            return e is not None and e <= bound
         ends = self.occ.get(v % self.occ_mod)
         if ends:
             pref = self.pref
@@ -287,17 +296,17 @@ class SplitOverlapEngine:
         mg = self.mg
         barred = set()
         if t and L:
-            # a short threat's first q - 1 letters are the word's last q - 1,
-            # so one lookup per length answers every letter. Every threat is
-            # a factor seen before, so those q - 1 letters are a repeated
+            # a threat's first q - 1 letters are the word's last q - 1, so
+            # one lookup per length answers every letter. Every threat is a
+            # factor seen before, so those q - 1 letters are a repeated
             # suffix: q <= lrs[L - 1] + 1
             tdicts = self.tdicts
             powk = self.powk
-            tail = self.pref[L] % self.occ_mod  # the last S0 letters
-            for q in range(1, min(L - mg, SHORT_FACTOR_LEN, self.lrs[-1] + 1) + 1):
+            pL = self.pref[L]
+            for q in range(1, min(L - mg, self.lrs[-1] + 1) + 1):
                 d = tdicts[q]
                 if d:
-                    hits = d.get(tail % powk[q - 1])
+                    hits = d.get(pL % powk[q - 1])
                     if hits:
                         lim = L - q - mg
                         for a, e in hits.items():
@@ -333,7 +342,7 @@ class SplitOverlapEngine:
     def _period_violates(self, a: int, row: dict[int, int]) -> bool:
         """The per-letter part of the check: factors pinned by the suffix
         (every length when t = 0, else by the periods in row, which come in
-        ascending order) and threats longer than S0.
+        ascending order).
 
         Each pinned x is looked up only if it can have occurred before: a
         factor with a known end p that is longer than lrs[p] has no earlier
@@ -348,45 +357,21 @@ class SplitOverlapEngine:
         ell = L + 1
         t = self.t
         mg = self.mg
-        k = self.k
         pref = self.pref
         powk = self.powk
         mmin = self.mmin
         lrs = self.lrs
-        pL = pref[L]
-        fdicts = self.fdicts
-        occ = self.occ
-        occ_mod = self.occ_mod
+        seen = self._seen
         if t == 0:
             if not L:
                 return False
             # the new suffix of length q extends the old one of length q - 1
+            pL = pref[L]
+            k = self.k
             for q in range(1, min(L - mg, lrs[-1] + 1) + 1):
-                v = (pL - pref[ell - q] * powk[q - 1]) * k + a
-                if q <= SHORT_FACTOR_LEN:
-                    e = fdicts[q].get(v)
-                    if e is not None and e <= L - q - mg:
-                        return True
-                elif v % occ_mod in occ and self._occurs_long(q, v, L - q - mg):
+                if seen(q, (pL - pref[ell - q] * powk[q - 1]) * k + a, L - q - mg):
                     return True
             return False
-        if ell > SHORT_FACTOR_LEN and self.tocc and lrs[-1] >= SHORT_FACTOR_LEN:
-            # a longer threat can match only if it ends in the suffix's last
-            # S0, and (being a factor seen before) only if its first q - 1
-            # letters are a repeated suffix
-            threats = self.tocc.get(
-                (pL - pref[ell - SHORT_FACTOR_LEN] * powk[SHORT_FACTOR_LEN - 1]) * k + a
-            )
-            if threats:
-                tdicts = self.tdicts
-                qmax = min(L - mg, lrs[-1] + 1)
-                for q, v in threats:
-                    if (
-                        q <= qmax
-                        and (pL - pref[ell - q] * powk[q - 1]) * k + a == v
-                        and tdicts[q][v] <= L - q - mg
-                    ):
-                        return True
         if not row:
             return False
         # a period m >= mmin in row has a run r <= m + t - 1 (no t-overlap)
@@ -409,13 +394,7 @@ class SplitOverlapEngine:
                     if s > lrs[L - t - g]:
                         break
                     v = pref[ell - t - g] - base * powk[s]
-                    if s <= SHORT_FACTOR_LEN:
-                        e = fdicts[s].get(v)
-                        if e is not None and e <= L - m - t - g - mg:
-                            return True
-                    elif v % occ_mod in occ and self._occurs_long(
-                        s, v, L - m - t - g - mg
-                    ):
+                    if seen(s, v, L - m - t - g - mg):
                         return True
             if t > 1:
                 # z = the suffix of length m + t - c with period m, 0 < c < t
@@ -438,13 +417,7 @@ class SplitOverlapEngine:
                         v = (pe - pref[p + 1 - c] * powk[c]) * pm + (
                             pe - pref[p + 1 - m] * pm
                         )
-                        s = m + c
-                        bound = L - m - t + c - mg
-                        if s <= SHORT_FACTOR_LEN:
-                            e = fdicts[s].get(v)
-                            if e is not None and e <= bound:
-                                return True
-                        elif v % occ_mod in occ and self._occurs_long(s, v, bound):
+                        if seen(m + c, v, L - m - t + c - mg):
                             return True
         else:
             # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen
@@ -474,25 +447,12 @@ class SplitOverlapEngine:
                         v = v1 * powk[t] + v2
                     else:
                         v = pref[zstart + t] - pref[ell - 2 * m] * powk[xlen]
-                    if xlen <= SHORT_FACTOR_LEN:
-                        e = fdicts[xlen].get(v)
-                        if e is not None and e <= L - s - mg:
-                            return True
-                    elif v % occ_mod in occ and self._occurs_long(
-                        xlen, v, L - s - mg
-                    ):
+                    if seen(xlen, v, L - s - mg):
                         return True
         return False
 
-    def can_extend(self, a: int) -> bool:
-        return self.verdicts((a,))[0] is not None
-
-    def try_push(self, a: int) -> bool:
-        row = self.verdicts((a,))[0]
-        if row is None:
-            return False
-        self.commit(a, row)
-        return True
+    can_extend = _can_extend
+    try_push = _try_push
 
     def commit(self, a: int, row: dict[int, int]) -> None:
         """Append a with the row verdicts() gave it at the current node; no check."""
@@ -510,6 +470,7 @@ class SplitOverlapEngine:
         pref.append(pe)
         if len(powk) == ell + 1:
             powk.append(powk[-1] * k)
+            self.tdicts.append({})
         # longest suffix first: once one is already present, so are all
         # shorter ones (they end inside its earlier occurrence)
         q = ell if ell < SHORT_FACTOR_LEN else SHORT_FACTOR_LEN
@@ -529,7 +490,7 @@ class SplitOverlapEngine:
             # the repeated suffix may be longer than S0, by at most one letter
             # more than the previous one
             top = lrs[-1] + 1
-            while q < top and self._occurs_long(
+            while q < top and self._seen(
                 q + 1, pe - pref[ell - q - 1] * powk[q + 1], L - 1
             ):
                 q += 1
@@ -563,26 +524,15 @@ class SplitOverlapEngine:
         ttrail: list[tuple[int, int]] = []
         if armed:
             tdicts = self.tdicts
-            tocc = self.tocc
-            mod = self.occ_mod
             for threat in armed:
                 q, v = threat
-                if q <= SHORT_FACTOR_LEN:
-                    u, b = divmod(v, k)
-                    d = tdicts[q].get(u)
-                    if d is None:
-                        d = tdicts[q][u] = {}
-                    elif b in d:
-                        continue
-                    d[b] = L
-                else:
-                    while len(tdicts) <= q:
-                        tdicts.append({})
-                    d = tdicts[q]
-                    if v in d:
-                        continue
-                    d[v] = L
-                    tocc.setdefault(v % mod, []).append(threat)
+                u, b = divmod(v, k)
+                d = tdicts[q].get(u)
+                if d is None:
+                    d = tdicts[q][u] = {}
+                elif b in d:
+                    continue
+                d[b] = L
                 ttrail.append(threat)
         self.td_trail.append(ttrail)
 
@@ -608,20 +558,10 @@ class SplitOverlapEngine:
         self.runs.pop()
         pref.pop()
         tdicts = self.tdicts
-        tocc = self.tocc
         k = self.k
-        # this push's threats are the last entries of their tocc lists
         for q, v in self.td_trail.pop():
-            if q > SHORT_FACTOR_LEN:
-                del tdicts[q][v]
-                key = v % self.occ_mod
-                threats = tocc[key]
-                threats.pop()
-                if not threats:
-                    del tocc[key]
-            else:
-                u, b = divmod(v, k)
-                d = tdicts[q][u]
-                del d[b]
-                if not d:
-                    del tdicts[q][u]
+            u, b = divmod(v, k)
+            d = tdicts[q][u]
+            del d[b]
+            if not d:
+                del tdicts[q][u]

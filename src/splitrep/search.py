@@ -112,6 +112,14 @@ class SearchBudget:
     split_depth: int | None = None  # None: choose from the problem; 0: single task
     workers: int = 1
 
+    def __post_init__(self):
+        if self.nodes is not None and self.nodes < 0:
+            raise ValueError(f"node budget must be >= 0, got {self.nodes}")
+        if self.split_depth is not None and self.split_depth < 0:
+            raise ValueError(f"split depth must be >= 0, got {self.split_depth}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
     def describe(self) -> str:
         parts = []
         if self.nodes is not None:
@@ -618,6 +626,8 @@ def frontier_lower_bound(
         )
     if strategy not in ("lex", "restarts"):
         raise ValueError(f"unknown frontier strategy {strategy!r}")
+    if dive_nodes < 1:
+        raise ValueError(f"dive_nodes must be >= 1, got {dive_nodes}")
     start = time.monotonic()
     deadline = start + budget.seconds if budget.seconds is not None else None
     if resume is not None:

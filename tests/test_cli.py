@@ -216,6 +216,10 @@ class TestUsageErrors:
             ["bounds", "--family", "C", "--k", "0", "--n", "3"],
             ["search", "S", "--k", "2", "--t", "1", "--threads", "0"],
             ["search", "S", "--k", "2", "--t", "1", "--threads", "-3"],
+            ["search", "S", "--k", "2", "--t", "2", "--budget", "-1"],
+            ["search", "S", "--k", "2", "--t", "2", "--budget", "0",
+             "--split-depth", "-2"],
+            ["table", "3", "--budget-per-cell", "-1"],
         ],
     )
     def test_rejected_arguments(self, argv):

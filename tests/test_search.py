@@ -136,21 +136,21 @@ class TestEngineAgainstOracle:
             else:
                 assert all(not d for d in engine.fdicts)
                 assert all(not d for d in engine.tdicts)
-                assert not engine.occ and not engine.tocc
+                assert not engine.occ
 
 
 class TestIndexAgainstReference:
-    """The short factor and threat tables plus their occurrence lists answer
-    exactly as an index of every length does, on words far past
-    SHORT_FACTOR_LEN.
+    """The short factor tables plus their occurrence lists, and the threat
+    table keyed by prefix, answer exactly as an index of every length does,
+    on words far past SHORT_FACTOR_LEN.
 
     Random push/pop walks: letters are random, or copied from a random
     earlier position so that long repeated factors (and hence long-factor
     queries that succeed) occur. Every step compares can_extend for every
     letter, the batched verdicts and their run rows, and the try_push
     verdict with the reference engine, checks the longest repeated suffix
-    of every prefix against brute force, and probes the long-factor lookup
-    on factors of the current word directly.
+    of every prefix against brute force, and probes the factor lookup
+    `_seen` on factors of the current word of every length directly.
     """
 
     STEPS = 1000
@@ -203,13 +203,14 @@ class TestIndexAgainstReference:
                     lrs.append(oracles.longest_repeated_suffix(word))
                 else:
                     copy_from = None
-                self._probe_long_lookup(engine, ref, rng)
+                self._probe_factor_lookup(engine, ref, rng)
             assert engine.word == ref.word
 
     def test_long_threat_at_minimum_gap(self):
         # the last letter completes x . y . z with |y| = 1 (the least gap the
-        # convention allows) and a 14-letter z, found only through the
-        # occurrence lists of threats longer than SHORT_FACTOR_LEN
+        # convention allows) and a 14-letter z: x pins the period block, so
+        # z is a threat longer than SHORT_FACTOR_LEN, barred through the
+        # table of its first 13 letters
         text = (
             "2102221110211022022020222212212110021112211200211112212120002121"
             "1122121200021"
@@ -236,19 +237,19 @@ class TestIndexAgainstReference:
         assert v.x_span == (6, 10) and v.z_span == (12, 15)
 
     @staticmethod
-    def _probe_long_lookup(engine, ref, rng):
+    def _probe_factor_lookup(engine, ref, rng):
+        # both tiers: the per-length tables up to SHORT_FACTOR_LEN and the
+        # occurrence lists above it
         L = len(engine.word)
-        if L <= SHORT_FACTOR_LEN:
-            return
-        s = rng.randrange(SHORT_FACTOR_LEN + 1, L + 1)
-        end = rng.randrange(s - 1, L)
         pref, powk = engine.pref, engine.powk
-        v = pref[end + 1] - pref[end + 1 - s] * powk[s]
-        if rng.random() < 0.3:
-            v ^= 1  # usually a value that does not occur
-        bound = end + rng.randrange(-3, 4)
-        e = ref.fdicts[s].get(v)
-        assert engine._occurs_long(s, v, bound) == (e is not None and e <= bound)
+        for s in range(1, L + 1):
+            end = rng.randrange(s - 1, L)
+            v = pref[end + 1] - pref[end + 1 - s] * powk[s]
+            if rng.random() < 0.3:
+                v ^= 1  # usually a value that does not occur
+            bound = end + rng.randrange(-3, 4)
+            e = ref.fdicts[s].get(v)
+            assert engine._seen(s, v, bound) == (e is not None and e <= bound)
 
 
 class TestExhaustiveAgreement:
@@ -449,6 +450,16 @@ class TestFrontier:
         out = frontier_lower_bound(problem, SearchBudget(nodes=0))
         assert out.max_length == 0
         assert out.status is SearchStatus.LOWER_BOUND
+
+    @pytest.mark.parametrize("dive_nodes", [0, -5])
+    def test_rejects_dive_nodes_below_one(self, dive_nodes):
+        # a dive of no nodes never moves the count, so the dives never end
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2)
+        with pytest.raises(ValueError, match="dive_nodes"):
+            frontier_lower_bound(
+                problem, SearchBudget(nodes=1000), strategy="restarts",
+                dive_nodes=dive_nodes,
+            )
 
     def test_lex_respects_budget_and_improves(self):
         problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 5)
