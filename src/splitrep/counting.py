@@ -137,12 +137,12 @@ def pigeonhole_bound(k: int, n: int) -> int:
 
 def theorem_sum_bound(k: int, n: int) -> int:
     """Exact evaluation of (sum over all length-n words of ceil(n/per)) + n - 1."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
-    if k ** n > CENSUS_BUDGET:
-        raise BudgetExceededError("enumeration budget exceeded")
-    counts = _period_counts(k, n)
-    return sum(c * (-(-n // p)) for p, c in counts.items()) + n - 1
+    return _period_sum(n, period_census(k, n))
+
+
+def _period_sum(n: int, census: dict[int, int]) -> int:
+    """theorem_sum_bound from the period census of the length-n words."""
+    return sum(c * (-(-n // p)) for p, c in census.items()) + n - 1
 
 
 def corollary_bound(k: int, n: int) -> Fraction:
@@ -201,8 +201,8 @@ def c_bounds(k: int, n: int) -> BoundReport:
         entries["single-letter-exact"] = ("=", k)
     entries["pigeonhole"] = ("<=", pigeonhole_bound(k, n))
     try:
-        entries["period-sum"] = ("<=", theorem_sum_bound(k, n))
         caps = period_census(k, n)
+        entries["period-sum"] = ("<=", _period_sum(n, caps))
     except BudgetExceededError:
         pass
     if k >= 2:

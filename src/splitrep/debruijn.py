@@ -16,6 +16,8 @@ from itertools import product
 
 from .words import Word
 
+_WINDOW_BUDGET = 2_000_000  # max k**n windows debruijn_order_n enumerates
+
 
 class ConstructionError(RuntimeError):
     """A self-validating construction produced an invalid word."""
@@ -167,7 +169,7 @@ def debruijn_order3_special(k: int) -> Word:
     return Word(tuple(linear), k)
 
 
-def debruijn_order_n(k: int, n: int, budget: int = 2_000_000) -> Word:
+def debruijn_order_n(k: int, n: int) -> Word:
     """A linear de Bruijn word of length k^n + n - 1 (greedy prefer-largest).
 
     The prefer-largest greedy scan from 0^n always completes; the window
@@ -175,7 +177,7 @@ def debruijn_order_n(k: int, n: int, budget: int = 2_000_000) -> Word:
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    if k ** n > budget:
+    if k ** n > _WINDOW_BUDGET:
         raise ValueError("window budget exceeded")
     if k == 1:
         return Word((0,) * n, 1)

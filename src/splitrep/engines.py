@@ -227,8 +227,11 @@ class SplitOverlapEngine:
 
     A violation is either a contiguous t-overlap factor, or nonempty
     factors x before z with gap >= min_gap whose concatenation x.z
-    (z.x in reversed mode) is a t-overlap. With t = 0 the check
-    degenerates to "some suffix already occurred with an admissible gap".
+    (z.x in reversed mode) is a t-overlap. With t = 0 a letter is barred
+    iff it already occurs: every 0-overlap, contiguous or split, is a
+    square uu, whose two pieces hold two occurrences of u's first letter,
+    and two occurrences of a letter are a split aa (or, adjacent, a
+    contiguous one) under either gap convention.
     """
 
     def __init__(
@@ -243,9 +246,7 @@ class SplitOverlapEngine:
         self.k = k
         self.t = t
         self.mg = convention.min_gap
-        self.convention = convention
         self.rev = reversed_mode
-        self.mmin = max(t, 1)
         self.word: list[int] = []
         self.pos: list[list[int]] = [[] for _ in range(k)]
         # per position: period m -> run length, m ascending
@@ -290,12 +291,16 @@ class SplitOverlapEngine:
         """For each letter, None if appending it creates a violation, else
         its run row (period m -> run length at the new position), the token
         commit() takes."""
+        pos = self.pos
+        t = self.t
+        if not t:
+            # barred iff the letter already occurs (see the class docstring)
+            return [None if pos[a] else {} for a in letters]
         word = self.word
         L = len(word)
-        t = self.t
         mg = self.mg
         barred = set()
-        if t and L:
+        if L:
             # a threat's first q - 1 letters are the word's last q - 1, so
             # one lookup per length answers every letter. Every threat is a
             # factor seen before, so those q - 1 letters are a repeated
@@ -316,19 +321,15 @@ class SplitOverlapEngine:
         # position p of a letter starts a run of period L - p, which one pass
         # over the previous row extends where that run reached the previous
         # letter
-        pos = self.pos
         rows = {}
         for a in letters:
             if a not in barred:
                 rows[a] = {L - p: 1 for p in reversed(pos[a])}
-        if t == 0 and L:
-            rows.pop(word[-1], None)  # contiguous 0-overlap aa
         if self.runs:
-            mmin = self.mmin
             for m, r in self.runs[-1].items():
                 row = rows.get(word[L - m])
                 if row is not None:
-                    if r + 1 >= m + t and m >= mmin:
+                    if r + 1 >= m + t and m >= t:
                         # contiguous t-overlap: the run reaches m + t letters
                         del rows[word[L - m]]
                     else:
@@ -336,13 +337,12 @@ class SplitOverlapEngine:
         out = []
         for a in letters:
             row = rows.get(a)
-            out.append(None if row is None or self._period_violates(a, row) else row)
+            out.append(None if row is None or self._period_violates(row) else row)
         return out
 
-    def _period_violates(self, a: int, row: dict[int, int]) -> bool:
-        """The per-letter part of the check: factors pinned by the suffix
-        (every length when t = 0, else by the periods in row, which come in
-        ascending order).
+    def _period_violates(self, row: dict[int, int]) -> bool:
+        """The per-letter part of the check (t >= 1): factors pinned by the
+        suffix through the periods in row, which come in ascending order.
 
         Each pinned x is looked up only if it can have occurred before: a
         factor with a known end p that is longer than lrs[p] has no earlier
@@ -359,22 +359,11 @@ class SplitOverlapEngine:
         mg = self.mg
         pref = self.pref
         powk = self.powk
-        mmin = self.mmin
         lrs = self.lrs
         seen = self._seen
-        if t == 0:
-            if not L:
-                return False
-            # the new suffix of length q extends the old one of length q - 1
-            pL = pref[L]
-            k = self.k
-            for q in range(1, min(L - mg, lrs[-1] + 1) + 1):
-                if seen(q, (pL - pref[ell - q] * powk[q - 1]) * k + a, L - q - mg):
-                    return True
-            return False
         if not row:
             return False
-        # a period m >= mmin in row has a run r <= m + t - 1 (no t-overlap)
+        # a period m >= t in row has a run r <= m + t - 1 (no t-overlap)
         mfit = (ell - t - mg) // 2  # longer periods leave no room for x
         if not self.rev:
             # z = suffix V.P.P[:t] with period m; x = P[:m-g] seen earlier,
@@ -386,7 +375,7 @@ class SplitOverlapEngine:
             for m, r in row.items():
                 if m > mcap:
                     break  # so are all longer periods
-                if r < t or m < mmin:
+                if r < t or m < t:
                     continue
                 base = pref[ell - m - t]
                 for g in range(r - t, -1, -1):
@@ -406,7 +395,7 @@ class SplitOverlapEngine:
                 for m, r in row.items():
                     if m > mcap:
                         break
-                    if m < mmin:
+                    if m < t:
                         continue
                     pm = powk[m]
                     for c in range(t - r if t - r > 1 else 1, t):
@@ -433,7 +422,7 @@ class SplitOverlapEngine:
             for m, r in row.items():
                 if m > mcap:
                     break  # so are all longer periods
-                if m < mmin:
+                if m < t:
                     continue
                 for s in range(m + r, m, -1):
                     h = s - m - t
@@ -496,31 +485,30 @@ class SplitOverlapEngine:
                 q += 1
         lrs.append(q)
         armed: list[tuple[int, int]] = []  # (length, value) of each threat
-        if t > 0:
-            # a run r of period m >= mmin fits in the word (r <= L - m + 1)
-            # and stops short of a t-overlap (r <= m + t - 1)
-            mmin = self.mmin
-            if not self.rev:
-                # x = P.P[:c] ending here arms the exact string (P.P[:t])[c:]:
-                # the next q letters of the period-m run, starting at ell - m,
-                # which all lie in the word. Only c >= t: a shorter x is
-                # pinned by its z, and the check looks it up at the suffix
-                for m, r in row.items():
-                    if m < mmin or r < t:
-                        continue
-                    base = pref[ell - m]
-                    for c in range(t, r + 1):
-                        q = m + t - c
-                        armed.append((q, pref[ell - c + t] - base * powk[q]))
-            else:
-                # x = Q[s:].Q ending here arms the exact string Q[:s]
-                for m, r in row.items():
-                    if m < mmin or r < t:
-                        continue
-                    start = L - m - t + 1
-                    base = pref[start]
-                    for s in range(m + t - r, m + 1):
-                        armed.append((s, pref[start + s] - base * powk[s]))
+        # a run r of period m >= t fits in the word (r <= L - m + 1) and
+        # stops short of a t-overlap (r <= m + t - 1); with t = 0 the row
+        # is empty
+        if not self.rev:
+            # x = P.P[:c] ending here arms the exact string (P.P[:t])[c:]:
+            # the next q letters of the period-m run, starting at ell - m,
+            # which all lie in the word. Only c >= t: a shorter x is pinned
+            # by its z, and the check looks it up at the suffix
+            for m, r in row.items():
+                if m < t or r < t:
+                    continue
+                base = pref[ell - m]
+                for c in range(t, r + 1):
+                    q = m + t - c
+                    armed.append((q, pref[ell - c + t] - base * powk[q]))
+        else:
+            # x = Q[s:].Q ending here arms the exact string Q[:s]
+            for m, r in row.items():
+                if m < t or r < t:
+                    continue
+                start = L - m - t + 1
+                base = pref[start]
+                for s in range(m + t - r, m + 1):
+                    armed.append((s, pref[start + s] - base * powk[s]))
         ttrail: list[tuple[int, int]] = []
         if armed:
             tdicts = self.tdicts

@@ -3,18 +3,18 @@
 Three problem kinds: no two disjoint occurrences of a length-n factor
 (the quantity C(k,n)), no split occurrence of a t-overlap (S(k,t)), and
 no reversed split occurrence (R(k,t)). Every search runs one walk,
-_walk: depth-first through the k-ary extension tree with canonical
-symmetry breaking (first occurrences of letters in increasing order),
-the engine's incremental suffix-anchored checks asked once per node, a
-node budget and a deadline. Each search supplies only its policy, in the
-visit() called after every accepted letter:
+_walk, which drives the problem's engine directly: depth-first through
+the k-ary extension tree with canonical symmetry breaking (first
+occurrences of letters in increasing order), the engine's incremental
+suffix-anchored checks asked once per node, a node budget and a
+deadline. Each search supplies only its policy, in the visit() called
+after every accepted letter:
 
-- _dfs (longest_avoiding) keeps the best word, stops with an exact
-  result when a word reaches a certified upper bound, and prunes by
-  reachability;
+- _dfs keeps the best word, stops with an exact result when a word
+  reaches a certified upper bound, and prunes by reachability. It runs
+  the tasks of longest_avoiding, and the lex frontier, which resumes it
+  from a checkpointed prefix;
 - _enumerate_prefixes records the words of the split depth;
-- the lex frontier resumes from a checkpointed prefix and prunes by
-  reachability;
 - the restarts frontier dives below random cuts of the incumbent,
   letters shuffled.
 
@@ -144,12 +144,12 @@ class SearchOutcome:
 
 
 class SearchState:
-    """DFS-facing wrapper pairing an engine with the canonical-letter rule."""
+    """The public single-letter interface to a problem's engine; the
+    searches drive the engine itself, through _walk."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
         self.engine = problem.engine()
-        self.maxused = [-1]
 
     @property
     def word(self) -> list[int]:
@@ -159,20 +159,10 @@ class SearchState:
         return self.engine.can_extend(letter)
 
     def push(self, letter: int) -> bool:
-        if self.engine.try_push(letter):
-            self.maxused.append(max(self.maxused[-1], letter))
-            return True
-        return False
-
-    def commit(self, letter: int, token) -> None:
-        """Append letter with the token the engine's verdicts gave it at this
-        node, without checking it again."""
-        self.engine.commit(letter, token)
-        self.maxused.append(max(self.maxused[-1], letter))
+        return self.engine.try_push(letter)
 
     def pop(self) -> None:
         self.engine.pop()
-        self.maxused.pop()
 
 
 def extend_check(state: SearchState, letter: int) -> bool:
@@ -185,23 +175,28 @@ _DESCEND, _BACK, _STOP = 0, 1, 2
 
 
 def _walk(
-    state: SearchState,
+    engine,
     visit,
     *,
     max_nodes: int | None = None,
     deadline: float | None = None,
     clock: int = 0,
     order=None,
-    frames: list | None = None,
+    resume: bool = False,
     on_node=None,
 ) -> tuple[int, str]:
-    """The depth-first walk below the current state that every search runs.
+    """The depth-first walk below the engine's word that every search runs.
 
-    A frame per depth holds [letters, tokens, next index]. A frame's letters
-    are the canonical ones (every letter used so far and the first unused
-    one), in increasing order or shuffled in place by order(); they and
-    their engine verdicts are filled in when the frame is first visited, so
-    frames given with None in both (resumed frames) work too. Each letter
+    A frame per depth holds [letters, tokens, next index, letter count].
+    The walk owns the canonical-letter rule: a frame's letters are the
+    first count letters (every letter used so far and the first unused
+    one), in increasing order or shuffled in place by order(). A child's
+    count is its parent's, plus one when the letter taken was the parent's
+    last, capped at k; the frames the walk starts with get theirs from the
+    engine's word. With resume, the walk goes on as if it had come to the engine's
+    word from the empty word: it starts with a frame per letter of the
+    word, that letter's smaller siblings done. A frame's letters and their
+    engine verdicts are filled in when it is first visited. Each letter
     tried is one node: a budget of max_nodes tries exactly that many. The
     deadline is tested every 4096 nodes of the caller's running count,
     clock + nodes, which on_node also receives before each node is tried.
@@ -211,21 +206,23 @@ def _walk(
     Returns the nodes tried and why the walk ended: "exhausted", "budget",
     "deadline" or "stopped". The engine is left where the walk ended.
     """
-    k = state.problem.k
-    maxused = state.maxused
-    verdicts = state.engine.verdicts
-    commit, pop = state.commit, state.pop
+    k = engine.k
+    verdicts, commit, pop = engine.verdicts, engine.commit, engine.pop
     descend, back = _DESCEND, _BACK
     if max_nodes is None:
         max_nodes = -1  # never equal to the count
-    if frames is None:
-        frames = [[None, None, 0]]
+    word = engine.word
+    frames = []
+    if resume:
+        for i, a in enumerate(word):
+            frames.append([None, None, a + 1, min(max(word[:i], default=-1) + 2, k)])
+    frames.append([None, None, 0, min(max(word, default=-1) + 2, k)])
     nodes = 0
     while frames:
         frame = frames[-1]
-        letters, tokens, i = frame
+        letters, tokens, i, count = frame
         if letters is None:
-            letters = range(min(maxused[-1] + 2, k))
+            letters = range(count)
             if order is not None:
                 letters = list(letters)
                 order(letters)
@@ -250,10 +247,12 @@ def _walk(
             on_node(clock + nodes)
         token = tokens[i]
         if token is not None:
-            commit(letters[i], token)
+            a = letters[i]
+            commit(a, token)
             action = visit()
             if action == descend:
-                frames.append([None, None, 0])
+                grow = a == count - 1 and count < k
+                frames.append([None, None, 0, count + 1 if grow else count])
             elif action == back:
                 pop()
             else:
@@ -271,26 +270,32 @@ class _TaskResult:
 
 
 def _dfs(
-    state: SearchState,
+    engine,
     *,
     max_nodes: int | None,
     cap: int | None,
     deadline: float | None,
     collect_all: bool = False,
     achievable_cap: bool = False,
+    best: list[int] | None = None,
+    resume: bool = False,
+    save=None,
+    every: int = 1,
 ) -> _TaskResult:
-    """Depth-first walk below the current state, letters in increasing order.
+    """Depth-first walk below the engine's word, letters in increasing order.
 
-    Starts with best = current word. cap is a certified upper bound: the
-    first word reaching it ends the walk (unless collect_all). When a
-    matching lower-bound certificate exists (achievable_cap), branches
-    that cannot reach the cap are pruned outright; otherwise pruning is
-    against the best length found so far. When collect_all, the result
-    also lists every maximal-length word seen.
+    Starts with best = the incumbent, else the engine's word. cap is a
+    certified upper bound: the first word reaching it ends the walk
+    (unless collect_all). When a matching lower-bound certificate exists
+    (achievable_cap), branches that cannot reach the cap are pruned
+    outright; otherwise pruning is against the best length found so far.
+    When collect_all, the result also lists every maximal-length word
+    seen. resume goes on with a walk that has reached the engine's word
+    (see _walk), and save(best, word, nodes) is called every so many nodes.
     """
-    engine = state.engine
     word = engine.word
-    best = word.copy()
+    if best is None:
+        best = word.copy()
     all_best: list[list[int]] = [word.copy()] if collect_all else []
     # reachability pruning loses tied maxima, which only matters to collect_all
     bound_fn = (
@@ -317,30 +322,34 @@ def _dfs(
             return _BACK
         return _DESCEND
 
-    nodes, why = _walk(state, visit, max_nodes=max_nodes, deadline=deadline)
+    on_node = save and _every(every, lambda nodes: save(best, word, nodes))
+    nodes, why = _walk(
+        engine, visit, max_nodes=max_nodes, deadline=deadline, resume=resume,
+        on_node=on_node,
+    )
     return _TaskResult(best, nodes, why == "exhausted", why == "stopped", all_best)
 
 
-def _replay(problem: SearchProblem, prefix: list[int]) -> SearchState:
-    state = SearchState(problem)
-    _move_to(state, prefix)
-    return state
+def _replay(problem: SearchProblem, prefix: list[int]):
+    engine = problem.engine()
+    _move_to(engine, prefix)
+    return engine
 
 
-def _move_to(state: SearchState, target: list[int]) -> None:
-    """Pop state back to its longest common prefix with target, then push
-    the rest of target: the state _replay(target) builds, without redoing
-    the shared prefix."""
-    word = state.engine.word
+def _move_to(engine, target: list[int]) -> None:
+    """Pop the engine back to its longest common prefix with target, then
+    push the rest of target: the engine _replay(target) builds, without
+    redoing the shared prefix."""
+    word = engine.word
     common = 0
     for a, b in zip(word, target):
         if a != b:
             break
         common += 1
     while len(word) > common:
-        state.pop()
+        engine.pop()
     for a in target[common:]:
-        if not state.push(a):
+        if not engine.try_push(a):
             raise ValueError(f"prefix is not violation-free: {target}")
 
 
@@ -349,8 +358,8 @@ def _enumerate_prefixes(
 ) -> tuple[list[list[int]], int, list[int]]:
     """All canonical violation-free words of exactly the given length, in
     lexicographic order, plus attempts spent and the longest word seen."""
-    state = SearchState(problem)
-    word = state.engine.word
+    engine = problem.engine()
+    word = engine.word
     out: list[list[int]] = []
     best: list[int] = []
 
@@ -363,21 +372,27 @@ def _enumerate_prefixes(
             return _BACK
         return _DESCEND
 
-    nodes, _ = _walk(state, visit)
+    nodes, _ = _walk(engine, visit)
     return out, nodes, best
 
 
-def _plan_tasks(problem: SearchProblem):
-    """Prefix tasks at the smallest depth giving a healthy task count.
+def _plan_tasks(problem: SearchProblem, split_depth: int | None = None):
+    """Prefix tasks at split_depth (0: the empty word alone), or when it is
+    None at the smallest depth giving a healthy task count.
 
-    A function of the problem alone (never of the worker count), so
-    reports are identical across pool sizes.
+    Returns (depth, prefixes, attempts spent, longest word seen); no
+    prefixes when the whole tree is shallower than the depth. A function
+    of the problem alone (never of the worker count), so reports are
+    identical across pool sizes.
     """
-    for depth in range(1, _MAX_SPLIT_DEPTH + 1):
+    if split_depth == 0:
+        return 0, [[]], 0, []
+    depths = range(1, _MAX_SPLIT_DEPTH + 1) if split_depth is None else [split_depth]
+    for depth in depths:
         prefixes, nodes, best = _enumerate_prefixes(problem, depth)
         if len(prefixes) >= _TARGET_TASKS or len(best) < depth:
-            return depth, prefixes, nodes, best
-    return _MAX_SPLIT_DEPTH, prefixes, nodes, best
+            break
+    return depth, prefixes, nodes, best
 
 
 def _run_task(args) -> _TaskResult:
@@ -445,20 +460,13 @@ def longest_avoiding(
     deadline = start + budget.seconds if budget.seconds is not None else None
     cap = None if collect_all_witnesses else certified_cap(problem)
     achievable = cap is not None and _cap_achievable(problem, cap)
-    split_depth = 0 if collect_all_witnesses else budget.split_depth
-    if split_depth == 0:
-        prefixes, prefix_nodes = [[]], 0
-    else:
-        if split_depth is None:
-            _, prefixes, prefix_nodes, prefix_best = _plan_tasks(problem)
-        else:
-            prefixes, prefix_nodes, prefix_best = _enumerate_prefixes(
-                problem, split_depth
-            )
-        if not prefixes:
-            # the whole tree is shallower than the split depth
-            result = _TaskResult(prefix_best, prefix_nodes, True, False)
-            return _merge(problem, budget, [result], 0, start)
+    _, prefixes, prefix_nodes, prefix_best = _plan_tasks(
+        problem, 0 if collect_all_witnesses else budget.split_depth
+    )
+    if not prefixes:
+        # the whole tree is shallower than the split depth
+        result = _TaskResult(prefix_best, prefix_nodes, True, False)
+        return _merge(problem, budget, [result], 0, start)
     tasks = [
         (problem, p, budget.nodes, cap, deadline, achievable, collect_all_witnesses)
         for p in prefixes
@@ -653,19 +661,22 @@ def frontier_lower_bound(
         prefix = best
         if resume is not None:
             prefix = list(parse_word(resume.prefix, problem.k).symbols)
-        state = _replay(problem, prefix)
-        best, nodes = _frontier_lex(
-            state, best, max_nodes, deadline, save, checkpoint_every
+        engine = _replay(problem, prefix)
+        # walk the tree in letter order as if the walk had reached prefix
+        result = _dfs(
+            engine, max_nodes=max_nodes, cap=None, deadline=deadline, best=best,
+            resume=True, save=save, every=checkpoint_every,
         )
+        best, nodes = result.best, result.nodes
         # a lex run resumes from the word where it stopped
-        prefix = state.engine.word
+        prefix = engine.word
     else:
-        # one live state for every dive: each dive pops back to its common
+        # one live engine for every dive: each dive pops back to its common
         # prefix with the cut incumbent instead of replaying the cut
-        state = _replay(problem, best)
+        engine = _replay(problem, best)
         rng = random.Random(rng_seed * 1_000_003 + base_nodes)
         best, nodes = _frontier_restarts(
-            state, best, max_nodes, deadline, save, checkpoint_every,
+            engine, best, max_nodes, deadline, save, checkpoint_every,
             rng, dive_nodes, tie_swap,
         )
         prefix = best
@@ -695,32 +706,8 @@ def _every(step: int, fn):
     return on_node
 
 
-def _frontier_lex(state, best, max_nodes, deadline, save, every):
-    """Walk the tree in letter order from the state's word, as if the walk
-    had reached it: the letters below each of its letters are done. With
-    reachability pruning for the disjoint-factor kind."""
-    word = state.engine.word
-    bound_fn = getattr(state.engine, "max_reachable_length", None)
-
-    def visit():
-        nonlocal best
-        if len(word) > len(best):
-            best = word.copy()
-        if bound_fn is not None and bound_fn() <= len(best):
-            return _BACK
-        return _DESCEND
-
-    on_node = save and _every(every, lambda nodes: save(best, word, nodes))
-    frames = [[None, None, a + 1] for a in word] + [[None, None, 0]]
-    nodes, _ = _walk(
-        state, visit, max_nodes=max_nodes, deadline=deadline, frames=frames,
-        on_node=on_node,
-    )
-    return best, nodes
-
-
 def _frontier_restarts(
-    state, best, max_nodes, deadline, save, every, rng, dive_nodes, tie_swap
+    engine, best, max_nodes, deadline, save, every, rng, dive_nodes, tie_swap
 ):
     """Randomized dives below random cuts of the incumbent, deepest-biased.
 
@@ -729,7 +716,7 @@ def _frontier_restarts(
     an equal-length word, drifting across plateaus; the cut window widens
     while the best length stagnates.
     """
-    word = state.engine.word
+    word = engine.word
     improved = False
 
     def visit():
@@ -752,10 +739,10 @@ def _frontier_restarts(
             cut = len(best) - rng.randrange(1, min(len(best), window) + 1)
         else:
             cut = rng.randrange(0, len(best) + 1)
-        _move_to(state, best[:cut])
+        _move_to(engine, best[:cut])
         improved = False
         dive, why = _walk(
-            state, visit, max_nodes=min(dive_nodes, max_nodes - nodes),
+            engine, visit, max_nodes=min(dive_nodes, max_nodes - nodes),
             deadline=deadline, clock=nodes, order=rng.shuffle, on_node=on_node,
         )
         nodes += dive

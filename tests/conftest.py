@@ -1,5 +1,8 @@
+import functools
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +13,16 @@ _criterion_lines = []
 
 def report_dir(config):
     """Where the suite writes its reports: under the pytest cache, which git
-    ignores, so a test run leaves the working tree as it found it."""
-    return config.cache.mkdir("splitrep")
+    ignores, so a test run leaves the working tree as it found it. Without
+    the cache plugin (-p no:cacheprovider), a fresh temporary directory."""
+    if hasattr(config, "cache"):
+        return config.cache.mkdir("splitrep")
+    return _temporary_report_dir()
+
+
+@functools.cache
+def _temporary_report_dir():
+    return Path(tempfile.mkdtemp(prefix="splitrep-reports-"))
 
 
 @pytest.fixture(scope="session")

@@ -499,6 +499,26 @@ class TestFrontier:
         assert out.max_length == length
         assert format_word(out.witness) == witness
 
+    @pytest.mark.parametrize(
+        "kind,k,param,seed,nodes,witness",
+        [
+            ("S", 3, 1, "0102", 170, "012021012"),
+            ("R", 3, 1, "0120", 98, "012010210"),
+            ("C", 3, 3, "0011", 8_606, "00110000020202101010220121212222211111200"),
+        ],
+    )
+    def test_lex_from_seed_exhausts_pinned(self, kind, k, param, seed, nodes, witness):
+        # the walk pops back through every frame of the seed, so each
+        # resumed frame's canonical letters show in the node count: with
+        # k = 3 a frame may hold one, two or three letters
+        problem = SearchProblem(ProblemKind(kind), k, param)
+        out = frontier_lower_bound(
+            problem, SearchBudget(nodes=10**6), strategy="lex",
+            seed=parse_word(seed, k),
+        )
+        assert out.nodes_explored == nodes
+        assert format_word(out.witness) == witness
+
     def test_seed_is_respected(self):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 2)
         seed = parse_word("000110", 2)
@@ -672,6 +692,38 @@ class TestCheckpoints:
         assert format_word(resumed.witness) == witness
         cp = load_checkpoint(path)
         assert cp.prefix == "0000000001000100011001100101010110111101"
+
+    def test_resume_pinned_ternary(self, tmp_path):
+        # k = 3: the canonical letter count of the resumed frames grows from
+        # one to three along the prefix
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 3, 4)
+        path = tmp_path / "c34.ckpt"
+        witness = (
+            "0010200000001100020100120021002201110101011201210122020202110212"
+            "02210222111111121121122121212222222001"
+        )
+        part = frontier_lower_bound(
+            problem, SearchBudget(nodes=20_000), seed=parse_word("0010200", 3),
+            strategy="lex", checkpoint_path=path,
+        )
+        assert (part.nodes_explored, format_word(part.witness)) == (20_000, witness)
+        cp = load_checkpoint(path)
+        assert cp.prefix == (
+            "0010200000001100020100120021002201110101011201210122020202110212"
+            "02211111222222212121221"
+        )
+        resumed = frontier_lower_bound(
+            problem, SearchBudget(nodes=20_000), strategy="lex",
+            checkpoint_path=path, resume=cp,
+        )
+        assert resumed.nodes_explored == 40_000
+        assert format_word(resumed.witness) == witness
+        cp = load_checkpoint(path)
+        assert cp.nodes == 40_000
+        assert cp.prefix == (
+            "0010200000001100020100120021002201110101011201210122020202110212"
+            "0221221221022211111211211222222200"
+        )
 
     def test_parse_truncated_raises_value_error(self, tmp_path):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
