@@ -256,7 +256,10 @@ def cmd_search(args, parser) -> int:
         except (OSError, ValueError) as exc:
             return _usage_error(parser, str(exc))
     else:
-        outcome = longest_avoiding(problem, budget)
+        try:
+            outcome = longest_avoiding(problem, budget)
+        except counting.BudgetExceededError as exc:  # C with k**n over CENSUS_BUDGET
+            return _usage_error(parser, str(exc))
     verified = verify_witness(problem, outcome.witness)
     report = RunReport(
         command="search",

@@ -10,13 +10,14 @@ returned as a Fraction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .words import EmptyWordError, Word, failure_function, period
 
-CENSUS_BUDGET = 2_000_000  # max k**n enumerated by period_census / theorem_sum_bound
+CENSUS_BUDGET = 2_000_000  # max k**n enumerated by smallest_periods
 
 
 class BudgetExceededError(ValueError):
@@ -78,24 +79,20 @@ def unbordered_count(k: int, n: int) -> int:
     return u[n]
 
 
-def _period_counts(k: int, n: int) -> dict[int, int]:
-    """Census of smallest periods over all k**n words (enumeration)."""
-    if k == 1:
-        return {1: 1}
-    counts: dict[int, int] = {}
-    for syms in product(range(k), repeat=n):
-        p = n - failure_function(syms)[-1]
-        counts[p] = counts.get(p, 0) + 1
-    return counts
+def smallest_periods(k: int, n: int) -> list[int]:
+    """Smallest period of every length-n word over Sigma_k; entry v is the
+    word of base-k value v (itertools.product order). At most CENSUS_BUDGET
+    words are enumerated, else BudgetExceededError."""
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
+    if k ** n > CENSUS_BUDGET:
+        raise BudgetExceededError(f"{k}**{n} words exceed the budget {CENSUS_BUDGET}")
+    return [n - failure_function(syms)[-1] for syms in product(range(k), repeat=n)]
 
 
 def period_census(k: int, n: int) -> dict[int, int]:
     """Map p -> number of length-n words over Sigma_k with smallest period p."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
-    if k ** n > CENSUS_BUDGET:
-        raise BudgetExceededError("census too large; use primitive_count identities")
-    return _period_counts(k, n)
+    return dict(Counter(smallest_periods(k, n)))
 
 
 def max_nondisjoint_cap(x: Word) -> int:
@@ -233,7 +230,7 @@ def s_upper_bounds(
         entries["repeated-letter-exact"] = ("=", k)
     if k == 1 and t >= 1:
         entries["unary-exact"] = ("=", 3 * t - 1)
-    if t == 1:
+    if t == 1 and k >= 2:
         entries["pigeonhole-factor"] = ("<=", k ** (k + 1) + k - 1)
     if t >= 1:
 

@@ -11,9 +11,10 @@ A depth-first search drives an engine with three calls per node:
   * verdicts(letters) checks every candidate letter at the current node at
     once and returns, per letter, None (the append would violate) or a
     token holding what the check computed for it (the letter's run row, or
-    for the disjoint-factor engine the length-n factor it completes). Work
-    that depends only on the node, such as the prefix values, the rows of
-    all letters and the short-threat lookups, is done once, not per letter.
+    for the disjoint-factor engine the rolling value of its last n letters,
+    the length-n factor it completes). Work that depends only on the node,
+    such as the prefix values, the rows of all letters and the short-threat
+    lookups, is done once, not per letter.
   * commit(a, token) appends a with the token verdicts() gave it at this
     node, without checking again. Tokens stay valid while the engine is at
     that node, including after pushes below it have been popped.
@@ -26,7 +27,9 @@ Factor contents are keyed by their base-k integer value (exact, no
 hashing collisions) via prefix value arrays, so dictionary lookups do the
 occurrence bookkeeping:
 
-  * disjoint-factor engine: earliest start of every length-n factor;
+  * disjoint-factor engine: earliest start of every length-n factor, and
+    a trail of one record per push with at most one forfeit, the factor
+    first seen n pushes back;
   * split/reversed engines, for the cases where the suffix pins the
     repetition's period block: the earliest end of every factor of length
     at most S0 = SHORT_FACTOR_LEN, plus an occurrence index `occ` from each
@@ -60,11 +63,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .counting import smallest_periods
 from .detect import GapConvention
-from .words import failure_function
-
-# DisjointFactorEngine token for a letter that completes no length-n factor yet
-_NO_GRAM = -1
 
 # S0 in the comments: factors up to this length get exact per-length tables;
 # longer ones are found through occurrence lists keyed by their last S0
@@ -94,6 +94,12 @@ class DisjointFactorEngine:
     once seen, all of them must start within n-1 positions of the first.
     Capacity that can no longer be used (expired windows) is forfeited, so
     max_reachable_length() is a certified bound for the current branch.
+
+    A letter's token is the rolling value of the last min(L + 1, n) letters
+    it leaves, the length-n factor it completes once there are n letters.
+    The trail keeps one record per push, with at most one forfeit: a factor
+    first seen at length l dies at l + n, and a push sees at most one factor
+    first, so the one dying is the new factor of the record n pushes back.
     """
 
     def __init__(self, k: int, n: int):
@@ -103,54 +109,27 @@ class DisjointFactorEngine:
         self.n = n
         self.kn = k ** n
         self.word: list[int] = []
-        self.grams: list[int] = []     # per depth: last n symbols' value, or _NO_GRAM
+        self.grams: list[int] = [0]    # per length: value of its last min(L, n) letters
         self.earliest: dict[int, int] = {}
-        self.caps = self._gram_caps()
+        self.caps = [-(-n // p) for p in smallest_periods(k, n)]
         self.remaining: dict[int, int] = {}  # live seen grams -> occurrences left
         self.unseen_total = sum(self.caps)
         self.live_total = 0
-        self.expiry: dict[int, list[int]] = {}  # length at which grams go dead
-        self.trail: list[tuple[int | None, list[tuple[int, int]]]] = []
-
-    def _gram_caps(self) -> list[int]:
-        """cap[value] = ceil(n / per(word-of-value)) for every length-n word."""
-        n = self.n
-        k = self.k
-        caps = []
-        for value in range(self.kn):
-            syms = []
-            v = value
-            for _ in range(n):
-                syms.append(v % k)
-                v //= k
-            syms.reverse()
-            p = n - failure_function(syms)[-1]
-            caps.append(-(-n // p))
-        return caps
+        # per push: (gram seen first, gram seen again, forfeited (gram, remaining))
+        self.trail: list[tuple] = []
 
     def verdicts(self, letters: Sequence[int]) -> list[int | None]:
         """For each letter, None if appending it repeats a length-n factor
-        disjointly, else the token commit() takes: the value of the length-n
-        factor it completes, or _NO_GRAM while the word is shorter."""
+        disjointly, else the token commit() takes: the rolling value it
+        leaves, which is the length-n factor it completes from length n on."""
         L = len(self.word)
-        n = self.n
-        if L + 1 < n:
-            return [_NO_GRAM] * len(letters)
-        if L >= n:
-            base = self.grams[-1] * self.k % self.kn
-        else:
-            base = 0
-            for s in self.word:
-                base = base * self.k + s
-            base *= self.k
+        base = self.grams[-1] * self.k % self.kn
+        if L < self.n:
+            return [base + a for a in letters]
+        # barred iff first seen n or more letters before; L > lim if unseen
         earliest = self.earliest
-        lim = L + 1 - 2 * n
-        out = []
-        for a in letters:
-            g = base + a
-            e = earliest.get(g)
-            out.append(g if e is None or e > lim else None)
-        return out
+        lim = L + 1 - 2 * self.n
+        return [None if earliest.get(base + a, L) <= lim else base + a for a in letters]
 
     can_extend = _can_extend
     try_push = _try_push
@@ -159,27 +138,27 @@ class DisjointFactorEngine:
         """Append a with the token verdicts() gave it at the current node; no check."""
         self.word.append(a)
         ell = len(self.word)
+        n = self.n
         self.grams.append(g)
-        # grams first seen at length ell - n die now: any further occurrence
-        # would start >= earliest + n and be disjoint
-        forfeits: list[tuple[int, int]] = []
-        for x in self.expiry.get(ell, ()):
+        # the gram first seen at length ell - n dies now: any further
+        # occurrence would start >= earliest + n and be disjoint
+        forfeit = None
+        if ell > n:
+            x = self.trail[ell - n - 1][0]
             rem = self.remaining.pop(x, None)
             if rem is not None:
-                forfeits.append((x, rem))
+                forfeit = (x, rem)
                 self.live_total -= rem
-        new_gram = None
-        consumed = None
-        if g != _NO_GRAM:
+        new_gram = consumed = None
+        if ell >= n:
             if g not in self.earliest:
                 new_gram = g
-                self.earliest[g] = ell - self.n
+                self.earliest[g] = ell - n
                 cap = self.caps[g]
                 self.unseen_total -= cap
                 if cap > 1:
                     self.remaining[g] = cap - 1
                     self.live_total += cap - 1
-                    self.expiry.setdefault(ell + self.n, []).append(g)
             else:
                 # a repeat is overlapping, hence live with remaining >= 1
                 consumed = g
@@ -189,29 +168,24 @@ class DisjointFactorEngine:
                     self.remaining[g] = rem
                 else:
                     del self.remaining[g]
-        self.trail.append((new_gram, consumed, forfeits))
+        self.trail.append((new_gram, consumed, forfeit))
 
     def pop(self) -> None:
         self.word.pop()
-        ell = len(self.word) + 1  # the length the undone push had created
         self.grams.pop()
-        new_gram, consumed, forfeits = self.trail.pop()
+        new_gram, consumed, forfeit = self.trail.pop()
         if consumed is not None:
             self.remaining[consumed] = self.remaining.get(consumed, 0) + 1
             self.live_total += 1
         if new_gram is not None:
-            g = new_gram
-            del self.earliest[g]
-            cap = self.caps[g]
+            del self.earliest[new_gram]
+            cap = self.caps[new_gram]
             self.unseen_total += cap
             if cap > 1:
                 self.live_total -= cap - 1
-                del self.remaining[g]
-                bucket = self.expiry[ell + self.n]
-                bucket.pop()
-                if not bucket:
-                    del self.expiry[ell + self.n]
-        for x, rem in forfeits:
+                del self.remaining[new_gram]
+        if forfeit is not None:
+            x, rem = forfeit
             self.remaining[x] = rem
             self.live_total += rem
 
@@ -484,36 +458,24 @@ class SplitOverlapEngine:
             ):
                 q += 1
         lrs.append(q)
-        armed: list[tuple[int, int]] = []  # (length, value) of each threat
+        ttrail: list[tuple[int, int]] = []  # (length, value) of each new threat
         # a run r of period m >= t fits in the word (r <= L - m + 1) and
         # stops short of a t-overlap (r <= m + t - 1); with t = 0 the row
-        # is empty
-        if not self.rev:
-            # x = P.P[:c] ending here arms the exact string (P.P[:t])[c:]:
-            # the next q letters of the period-m run, starting at ell - m,
-            # which all lie in the word. Only c >= t: a shorter x is pinned
-            # by its z, and the check looks it up at the suffix
-            for m, r in row.items():
-                if m < t or r < t:
-                    continue
-                base = pref[ell - m]
-                for c in range(t, r + 1):
-                    q = m + t - c
-                    armed.append((q, pref[ell - c + t] - base * powk[q]))
-        else:
-            # x = Q[s:].Q ending here arms the exact string Q[:s]
-            for m, r in row.items():
-                if m < t or r < t:
-                    continue
-                start = L - m - t + 1
-                base = pref[start]
-                for s in range(m + t - r, m + 1):
-                    armed.append((s, pref[start + s] - base * powk[s]))
-        ttrail: list[tuple[int, int]] = []
-        if armed:
-            tdicts = self.tdicts
-            for threat in armed:
-                q, v = threat
+        # is empty. Each threat is the q letters from start, q in
+        # [m + t - r, m], all in the word. Split: x = P.P[:c] ending here
+        # arms (P.P[:t])[c:], the next q = m + t - c letters of the run,
+        # from ell - m; only c >= t, since a shorter x is pinned by its z
+        # and looked up at the suffix. Reversed: x = Q[q:].Q ending here
+        # arms Q[:q], from ell - m - t
+        tdicts = self.tdicts
+        off = t if self.rev else 0
+        for m, r in row.items():
+            if m < t or r < t:
+                continue
+            start = ell - m - off
+            base = pref[start]
+            for q in range(m + t - r, m + 1):
+                v = pref[start + q] - base * powk[q]
                 u, b = divmod(v, k)
                 d = tdicts[q].get(u)
                 if d is None:
@@ -521,7 +483,7 @@ class SplitOverlapEngine:
                 elif b in d:
                     continue
                 d[b] = L
-                ttrail.append(threat)
+                ttrail.append((q, v))
         self.td_trail.append(ttrail)
 
     def pop(self) -> None:

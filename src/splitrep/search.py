@@ -115,6 +115,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.nodes is not None and self.nodes < 0:
             raise ValueError(f"node budget must be >= 0, got {self.nodes}")
+        if self.seconds is not None and not self.seconds >= 0:  # NaN too
+            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
         if self.split_depth is not None and self.split_depth < 0:
             raise ValueError(f"split depth must be >= 0, got {self.split_depth}")
         if self.workers < 1:
@@ -406,11 +408,17 @@ def _run_task(args) -> _TaskResult:
 
 
 def certified_cap(problem: SearchProblem) -> int | None:
-    """A proven upper bound usable as an early-stop depth, if affordable."""
+    """A proven upper bound usable as an early-stop depth, if affordable.
+
+    Only the exact S/R bounds (k when t = 0, 3t - 1 when k = 1) can stop a
+    split-kind search; the others lie far above any length it reaches, so
+    they are not computed.
+    """
+    k, param = problem.k, problem.param
+    if problem.kind is not ProblemKind.DISJOINT_FACTORS:
+        return counting.s_upper_bounds(k, param).best if param == 0 or k == 1 else None
     try:
-        if problem.kind is ProblemKind.DISJOINT_FACTORS:
-            return counting.theorem_sum_bound(problem.k, problem.param)
-        return counting.s_upper_bounds(problem.k, problem.param).best
+        return counting.theorem_sum_bound(k, param)
     except counting.BudgetExceededError:
         return None
 

@@ -220,6 +220,10 @@ class TestUsageErrors:
             ["search", "S", "--k", "2", "--t", "2", "--budget", "0",
              "--split-depth", "-2"],
             ["table", "3", "--budget-per-cell", "-1"],
+            ["search", "S", "--k", "2", "--t", "1", "--seconds", "-1"],
+            ["search", "S", "--k", "2", "--t", "1", "--seconds", "nan"],
+            # 2**30 words: over the enumeration budget of the capacity table
+            ["search", "C", "--k", "2", "--n", "30", "--seconds", "1"],
         ],
     )
     def test_rejected_arguments(self, argv):

@@ -16,6 +16,7 @@ from splitrep.counting import (
     pigeonhole_bound,
     primitive_count,
     s_upper_bounds,
+    smallest_periods,
     theorem_sum_bound,
     unbordered_count,
 )
@@ -94,6 +95,15 @@ class TestPeriodCensus:
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
             period_census(10, 12)
+
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 1), (2, 6), (3, 4)])
+    def test_smallest_periods_in_value_order(self, k, n):
+        # entry v is the word whose base-k value is v, first letter highest
+        want = []
+        for v in range(k ** n):
+            syms = [v // k ** (n - 1 - i) % k for i in range(n)]
+            want.append(oracles.period(syms))
+        assert smallest_periods(k, n) == want
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_census_identities_up_to_8(self, k):
@@ -206,6 +216,8 @@ class TestSUpperBounds:
             assert s_upper_bounds(k, 0).best == k
 
     def test_unary_exact(self):
+        # S(1,1) = 2: the pigeonhole-factor bound k**(k+1) + k - 1 needs k >= 2
+        assert s_upper_bounds(1, 1).best == 2
         assert s_upper_bounds(1, 3).best == 8
         assert s_upper_bounds(1, 4).best == 11
 

@@ -12,6 +12,7 @@ from splitrep.engines import (
     DisjointFactorEngine,
     SplitOverlapEngine,
 )
+from splitrep.knownvalues import load_known_cells
 from splitrep.search import (
     Checkpoint,
     ProblemKind,
@@ -19,6 +20,7 @@ from splitrep.search import (
     SearchProblem,
     SearchState,
     SearchStatus,
+    certified_cap,
     extend_check,
     frontier_lower_bound,
     load_checkpoint,
@@ -137,6 +139,26 @@ class TestEngineAgainstOracle:
                 assert all(not d for d in engine.fdicts)
                 assert all(not d for d in engine.tdicts)
                 assert not engine.occ
+
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
+    def test_disjoint_state_matches_replay(self, k, n):
+        # after every push or pop, the capacity bookkeeping (and with it the
+        # reachability bound) equals that of a fresh engine fed the word
+        def state(e):
+            return (e.word, e.grams, e.earliest, e.remaining,
+                    e.unseen_total, e.live_total, e.max_reachable_length())
+
+        rng = random.Random(11)
+        engine = DisjointFactorEngine(k, n)
+        for _ in range(3000):
+            if engine.word and rng.random() < 0.35:
+                engine.pop()
+            else:
+                engine.try_push(rng.randrange(k))
+            fresh = DisjointFactorEngine(k, n)
+            assert all(fresh.try_push(a) for a in engine.word)
+            assert state(engine) == state(fresh), engine.word
+            assert len(engine.trail) == len(engine.word)
 
 
 class TestIndexAgainstReference:
@@ -272,6 +294,38 @@ class TestExhaustiveAgreement:
         assert out.status is SearchStatus.EXACT
         assert out.max_length == want_len
         assert out.witness.symbols == want_witness
+
+
+class TestCertifiedCap:
+    """The early-stop cap never undercuts a known value, and is computed
+    only where a search can reach it."""
+
+    def test_never_below_known_values(self):
+        for cell in load_known_cells():
+            problem = SearchProblem(ProblemKind(cell.table), cell.k, cell.param)
+            cap = certified_cap(problem)
+            assert cap is None or cap >= cell.value, cell
+
+    @pytest.mark.parametrize("kind", ["S", "R"])
+    def test_unary_cells_single_task(self, kind):
+        for cell in load_known_cells():
+            if cell.table == kind and cell.k == 1:
+                problem = SearchProblem(ProblemKind(kind), 1, cell.param)
+                out = longest_avoiding(problem, SearchBudget(split_depth=0))
+                assert out.status is SearchStatus.EXACT, cell
+                assert out.max_length == cell.value, cell
+
+    def test_unreachable_split_bounds_are_not_computed(self):
+        # the composition bound gives 227,500 against S(2,3) = 47
+        assert certified_cap(SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)) is None
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("seconds", [-1, -0.5, float("nan")])
+    def test_rejects_negative_or_nan_seconds(self, seconds):
+        with pytest.raises(ValueError):
+            SearchBudget(seconds=seconds)
+        assert SearchBudget(seconds=float("inf")).seconds == float("inf")
 
 
 class TestSearchProperties:
