@@ -224,18 +224,15 @@ def _problem_from_args(args, parser) -> SearchProblem:
         if args.t is None:
             parser.error(f"{kind.value} searches need --t")
         param = args.t
-    try:
-        return SearchProblem(
-            kind=kind, k=args.k, param=param,
-            convention=GapConvention(args.convention),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return SearchProblem(
+        kind=kind, k=args.k, param=param,
+        convention=GapConvention(args.convention),
+    )
 
 
 def cmd_search(args, parser) -> int:
-    problem = _problem_from_args(parser=parser, args=args)
     try:
+        problem = _problem_from_args(parser=parser, args=args)
         budget = SearchBudget(
             nodes=args.budget,
             seconds=args.seconds,

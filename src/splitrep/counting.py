@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .words import EmptyWordError, Word, failure_function, period
@@ -79,15 +80,17 @@ def unbordered_count(k: int, n: int) -> int:
     return u[n]
 
 
-def smallest_periods(k: int, n: int) -> list[int]:
+@lru_cache(maxsize=1)
+def smallest_periods(k: int, n: int) -> tuple[int, ...]:
     """Smallest period of every length-n word over Sigma_k; entry v is the
     word of base-k value v (itertools.product order). At most CENSUS_BUDGET
-    words are enumerated, else BudgetExceededError."""
+    words are enumerated, else BudgetExceededError. The last table is kept,
+    so a search and its tasks enumerate it once."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if k ** n > CENSUS_BUDGET:
         raise BudgetExceededError(f"{k}**{n} words exceed the budget {CENSUS_BUDGET}")
-    return [n - failure_function(syms)[-1] for syms in product(range(k), repeat=n)]
+    return tuple(n - failure_function(syms)[-1] for syms in product(range(k), repeat=n))
 
 
 def period_census(k: int, n: int) -> dict[int, int]:
@@ -132,6 +135,7 @@ def pigeonhole_bound(k: int, n: int) -> int:
     return n * (k ** n + 1) - 1
 
 
+@lru_cache(maxsize=1)
 def theorem_sum_bound(k: int, n: int) -> int:
     """Exact evaluation of (sum over all length-n words of ceil(n/per)) + n - 1."""
     return _period_sum(n, period_census(k, n))

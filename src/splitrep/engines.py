@@ -13,7 +13,7 @@ A depth-first search drives an engine with three calls per node:
     token holding what the check computed for it (the letter's run row, or
     for the disjoint-factor engine the rolling value of its last n letters,
     the length-n factor it completes). Work that depends only on the node,
-    such as the prefix values, the rows of all letters and the short-threat
+    such as the prefix values, the rows of all letters and the threat
     lookups, is done once, not per letter.
   * commit(a, token) appends a with the token verdicts() gave it at this
     node, without checking again. Tokens stay valid while the engine is at
@@ -23,54 +23,49 @@ A depth-first search drives an engine with three calls per node:
 can_extend (pure check) and try_push (check and commit) do the same for a
 single letter; both engines share one definition of each.
 
-Factor contents are keyed by their base-k integer value (exact, no
-hashing collisions) via prefix value arrays, so dictionary lookups do the
-occurrence bookkeeping:
+How each engine finds earlier factors:
 
-  * disjoint-factor engine: earliest start of every length-n factor, and
-    a trail of one record per push with at most one forfeit, the factor
-    first seen n pushes back;
+  * disjoint-factor engine: the earliest start of every length-n factor,
+    keyed by its base-k value (exact, no hashing collisions), and a trail
+    of one record per push with at most one forfeit, the factor first seen
+    n pushes back;
   * split/reversed engines, for the cases where the suffix pins the
-    repetition's period block: the earliest end of every factor of length
-    at most S0 = SHORT_FACTOR_LEN, plus an occurrence index `occ` from each
-    length-S0 factor to the ascending list of positions where it ends. A
-    longer factor is found by walking the ends of its length-S0 suffix and
-    confirming each candidate with an exact value comparison. `_seen`
-    answers both tiers;
+    repetition's period block: the pinned piece x is a slice of the word,
+    or two slices joined, and is looked up in the word itself. The engine
+    keeps the word a second time as a string, `text` (chr(letter) per
+    letter), and text.find(x, 0, end) tells whether x occurs ending before
+    end. Nothing is inserted per push to answer these lookups;
   * split/reversed engines, for the cases where the earlier piece pins the
     block: a "threat" table of exact strings whose later appearance as a
-    suffix completes a violation. A threat of length q is filed under the
-    value of its first q - 1 letters, then its last letter: the first q - 1
-    letters of a matching suffix are the word's own last q - 1, so one
-    lookup per length yields every letter the threats bar, whatever their
-    length.
+    suffix completes a violation, one table per length, keyed by base-k
+    value via prefix value arrays. The first q - 1 letters of a matching
+    suffix are the word's own last q - 1, so letter a is barred by the
+    length-q threat whose value is theirs times k plus a.
 
-A push thus inserts at most S0 factors however deep the word is. It also
-records lrs, the length of the longest suffix that ended earlier too. A
-factor longer than the lrs of its end has no earlier occurrence, so the
-check looks up only pinned pieces no longer than that, and since every
-run is a repeated suffix, lrs also caps the periods worth visiting. lrs
-stays small on long violation-free words (at most 14 on a 134-letter
-R(2,4) word), so the check no longer grows with depth. A split x.z whose
-later piece is longer than one period pins x, so it is looked up from the
-suffix at check time and is not armed as a threat. What still grows with
-depth is building the rows (one entry per earlier occurrence of a letter,
-about L/k) and the threats a push arms for later pieces no longer than
-one period, whose number follows the runs of the word.
+A push also records lrs, the length of the longest suffix that ended
+earlier too, found with text.find from one more than the previous lrs
+down. A factor longer than the lrs of its end has no earlier occurrence,
+so the check looks up only pinned pieces no longer than that, and since
+every run is a repeated suffix, lrs also caps the periods worth visiting.
+lrs stays small on long violation-free words (at most 14 on a 134-letter
+R(2,4) word), so the number of lookups does not grow with depth; each is
+one scan of text in C. A split x.z whose later piece is longer than one
+period pins x, so it is looked up from the suffix at check time and is
+not armed as a threat. What still grows with depth in Python is building
+the rows (one entry per earlier occurrence of a letter, about L/k) and
+arming the threats for later pieces no longer than one period, whose
+number follows the runs of the word.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .counting import smallest_periods
+from .counting import smallest_periods, theorem_sum_bound
 from .detect import GapConvention
 
-# S0 in the comments: factors up to this length get exact per-length tables;
-# longer ones are found through occurrence lists keyed by their last S0
-# letters
-SHORT_FACTOR_LEN = 12
-
+# text holds one chr(letter) per letter, so split-kind alphabets stop here
+MAX_SPLIT_K = 0x110000
 
 # the single-letter calls, the same code for every engine. Each class binds
 # them in its own namespace, where perfbench's tracer wraps them per class
@@ -111,9 +106,12 @@ class DisjointFactorEngine:
         self.word: list[int] = []
         self.grams: list[int] = [0]    # per length: value of its last min(L, n) letters
         self.earliest: dict[int, int] = {}
-        self.caps = [-(-n // p) for p in smallest_periods(k, n)]
+        # one table per (k, n), shared by every engine of a search; a gram
+        # with smallest period p has cap ceil(n / p), and the caps sum to
+        # the period-sum bound less n - 1
+        self.periods = smallest_periods(k, n)
         self.remaining: dict[int, int] = {}  # live seen grams -> occurrences left
-        self.unseen_total = sum(self.caps)
+        self.unseen_total = theorem_sum_bound(k, n) - (n - 1)
         self.live_total = 0
         # per push: (gram seen first, gram seen again, forfeited (gram, remaining))
         self.trail: list[tuple] = []
@@ -154,7 +152,7 @@ class DisjointFactorEngine:
             if g not in self.earliest:
                 new_gram = g
                 self.earliest[g] = ell - n
-                cap = self.caps[g]
+                cap = -(-n // self.periods[g])
                 self.unseen_total -= cap
                 if cap > 1:
                     self.remaining[g] = cap - 1
@@ -179,7 +177,7 @@ class DisjointFactorEngine:
             self.live_total += 1
         if new_gram is not None:
             del self.earliest[new_gram]
-            cap = self.caps[new_gram]
+            cap = -(-self.n // self.periods[new_gram])
             self.unseen_total += cap
             if cap > 1:
                 self.live_total -= cap - 1
@@ -208,6 +206,10 @@ class SplitOverlapEngine:
     contiguous one) under either gap convention.
     """
 
+    # read by perfbench/probes.py::_index_entries, which sums the entries of
+    # fdicts and tdicts; factors are found in text, so no factor table is left
+    fdicts = ()
+
     def __init__(
         self,
         k: int,
@@ -215,51 +217,26 @@ class SplitOverlapEngine:
         convention: GapConvention = GapConvention.EMPTY_OK,
         reversed_mode: bool = False,
     ):
-        if k < 1 or t < 0:
-            raise ValueError("need k >= 1 and t >= 0")
+        if not 1 <= k <= MAX_SPLIT_K or t < 0:
+            raise ValueError(f"need 1 <= k <= {MAX_SPLIT_K} and t >= 0")
         self.k = k
         self.t = t
         self.mg = convention.min_gap
         self.rev = reversed_mode
         self.word: list[int] = []
+        self.text = ""                         # the word again, chr(letter) per letter
         self.pos: list[list[int]] = [[] for _ in range(k)]
         # per position: period m -> run length, m ascending
         self.runs: list[dict[int, int]] = []
         self.pref: list[int] = [0]             # pref[i] = value of word[:i], base k
         self.powk: list[int] = [1, k]          # powk[i] = k**i, i <= len(word) + 1
-        # fdicts[q]: value of a length-q factor -> its earliest end, q <= S0
-        self.fdicts: list[dict[int, int]] = [{} for _ in range(SHORT_FACTOR_LEN + 1)]
         # lrs[p]: length of the longest suffix of word[:p + 1] that also ends
-        # before p. Below S0 it is where the fdicts inserts of push p stopped
+        # before p
         self.lrs: list[int] = []
-        # occ: value of a length-S0 factor -> ascending ends of its occurrences
-        self.occ: dict[int, list[int]] = {}
-        self.occ_mod = k ** SHORT_FACTOR_LEN
-        # tdicts[q]: value of a threat's first q - 1 letters -> {its last
-        # letter: earliest x end}; grown with powk, one table per length
-        self.tdicts: list[dict[int, dict[int, int]]] = [{}, {}]
-        self.td_trail: list[list[tuple[int, int]]] = []   # (length, value) per push
-
-    def _seen(self, s: int, v: int, bound: int) -> bool:
-        """True iff the factor of length s with value v ends at or before bound.
-
-        Up to S0 the per-length table holds its earliest end. A longer factor
-        is found by walking the ends of its length-S0 suffix in ascending
-        order and confirming each candidate by comparing exact values.
-        """
-        if s <= SHORT_FACTOR_LEN:
-            e = self.fdicts[s].get(v)
-            return e is not None and e <= bound
-        ends = self.occ.get(v % self.occ_mod)
-        if ends:
-            pref = self.pref
-            ps = self.powk[s]
-            for e in ends:
-                if e > bound:
-                    break
-                if e >= s - 1 and pref[e + 1] - pref[e + 1 - s] * ps == v:
-                    return True
-        return False
+        # tdicts[q]: value of a length-q threat -> earliest end of its x;
+        # grown with powk, one table per length
+        self.tdicts: list[dict[int, int]] = [{}, {}]
+        self.td_trail: list[list[tuple[dict[int, int], int]]] = []  # (table, value) per push
 
     def verdicts(self, letters: Sequence[int]) -> list[dict[int, int] | None]:
         """For each letter, None if appending it creates a violation, else
@@ -275,22 +252,22 @@ class SplitOverlapEngine:
         mg = self.mg
         barred = set()
         if L:
-            # a threat's first q - 1 letters are the word's last q - 1, so
-            # one lookup per length answers every letter. Every threat is a
-            # factor seen before, so those q - 1 letters are a repeated
-            # suffix: q <= lrs[L - 1] + 1
+            # a threat's first q - 1 letters are the word's last q - 1. Every
+            # threat is a factor seen before, so those q - 1 letters are a
+            # repeated suffix: q <= lrs[L - 1] + 1
             tdicts = self.tdicts
             powk = self.powk
             pL = self.pref[L]
+            k = self.k
             for q in range(1, min(L - mg, self.lrs[-1] + 1) + 1):
                 d = tdicts[q]
                 if d:
-                    hits = d.get(pL % powk[q - 1])
-                    if hits:
-                        lim = L - q - mg
-                        for a, e in hits.items():
-                            if e <= lim:
-                                barred.add(a)
+                    u = pL % powk[q - 1] * k
+                    lim = L - q - mg
+                    for a in letters:
+                        e = d.get(u + a)
+                        if e is not None and e <= lim:
+                            barred.add(a)
         # the rows of the letters left, periods ascending: each earlier
         # position p of a letter starts a run of period L - p, which one pass
         # over the previous row extends where that run reached the previous
@@ -326,17 +303,20 @@ class SplitOverlapEngine:
         first x too long to repeat. A run in row is a repeated suffix too
         (r - 1 <= lrs[L - 1]), which caps the offsets, and with them the
         periods worth visiting, before the loops start.
+
+        A lookup is text.find(x, 0, end) >= 0: x occurs ending before end.
+        Periods above mfit are never visited, which keeps every end at
+        least len(x) > 0; a negative end would count from the back.
         """
+        if not row:
+            return False
         L = len(self.word)
         ell = L + 1
         t = self.t
         mg = self.mg
-        pref = self.pref
-        powk = self.powk
         lrs = self.lrs
-        seen = self._seen
-        if not row:
-            return False
+        text = self.text
+        find = text.find
         # a period m >= t in row has a run r <= m + t - 1 (no t-overlap)
         mfit = (ell - t - mg) // 2  # longer periods leave no room for x
         if not self.rev:
@@ -351,18 +331,17 @@ class SplitOverlapEngine:
                     break  # so are all longer periods
                 if r < t or m < t:
                     continue
-                base = pref[ell - m - t]
+                start = ell - m - t
                 for g in range(r - t, -1, -1):
-                    s = m - g
-                    if s > lrs[L - t - g]:
+                    if m - g > lrs[L - t - g]:
                         break
-                    v = pref[ell - t - g] - base * powk[s]
-                    if seen(s, v, L - m - t - g - mg):
+                    if find(text[start : ell - t - g], 0, start - g - mg) >= 0:
                         return True
             if t > 1:
                 # z = the suffix of length m + t - c with period m, 0 < c < t
                 # (x.z splits the t-overlap inside its second period): z[:m]
-                # is y, ending at L - (t - c), and x = y[-c:].y seen earlier
+                # is y, ending at e - 1 = L - (t - c), and x = y[-c:].y seen
+                # earlier
                 mcap = max(lrs[L - t + 1 :])  # y must repeat
                 if mcap > mfit:
                     mcap = mfit
@@ -371,16 +350,11 @@ class SplitOverlapEngine:
                         break
                     if m < t:
                         continue
-                    pm = powk[m]
                     for c in range(t - r if t - r > 1 else 1, t):
-                        p = L - t + c
-                        if m > lrs[p]:
+                        e = ell - t + c
+                        if m > lrs[e - 1]:
                             continue
-                        pe = pref[p + 1]
-                        v = (pe - pref[p + 1 - c] * powk[c]) * pm + (
-                            pe - pref[p + 1 - m] * pm
-                        )
-                        if seen(m + c, v, L - m - t + c - mg):
+                        if find(text[e - c : e] + text[e - m : e], 0, e - m - mg) >= 0:
                             return True
         else:
             # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen
@@ -402,15 +376,12 @@ class SplitOverlapEngine:
                     h = s - m - t
                     if m > (h + lrs[L - h] if h > 1 else lrs1):
                         break
-                    xlen = 2 * m + t - s
                     zstart = ell - s
-                    v2 = pref[zstart + t] - pref[zstart] * powk[t]
                     if s <= 2 * m:
-                        v1 = pref[ell + m - s] - pref[ell - m] * powk[2 * m - s]
-                        v = v1 * powk[t] + v2
+                        x = text[ell - m : ell + m - s] + text[zstart : zstart + t]
                     else:
-                        v = pref[zstart + t] - pref[ell - 2 * m] * powk[xlen]
-                    if seen(xlen, v, L - s - mg):
+                        x = text[ell - 2 * m : zstart + t]
+                    if find(x, 0, zstart - mg) >= 0:
                         return True
         return False
 
@@ -423,42 +394,24 @@ class SplitOverlapEngine:
         L = len(word)
         ell = L + 1
         t = self.t
-        k = self.k
         pref = self.pref
         powk = self.powk
         word.append(a)
+        text = self.text = self.text + chr(a)
         self.pos[a].append(L)
         self.runs.append(row)
-        pe = pref[L] * k + a
-        pref.append(pe)
+        pref.append(pref[L] * self.k + a)
         if len(powk) == ell + 1:
-            powk.append(powk[-1] * k)
+            powk.append(powk[-1] * self.k)
             self.tdicts.append({})
-        # longest suffix first: once one is already present, so are all
-        # shorter ones (they end inside its earlier occurrence)
-        q = ell if ell < SHORT_FACTOR_LEN else SHORT_FACTOR_LEN
-        v = pe - pref[ell - q] * powk[q]
-        if q == SHORT_FACTOR_LEN:
-            self.occ.setdefault(v, []).append(L)
-        fdicts = self.fdicts
-        while q:
-            d = fdicts[q]
-            if v in d:
-                break
-            d[v] = L
-            q -= 1
-            v %= powk[q]
+        # the longest repeated suffix is at most one letter longer than the
+        # previous one; longest first, it must occur inside text[:L]
         lrs = self.lrs
-        if q == SHORT_FACTOR_LEN:
-            # the repeated suffix may be longer than S0, by at most one letter
-            # more than the previous one
-            top = lrs[-1] + 1
-            while q < top and self._seen(
-                q + 1, pe - pref[ell - q - 1] * powk[q + 1], L - 1
-            ):
-                q += 1
+        q = lrs[-1] + 1 if L else 0
+        while q and text.find(text[ell - q :], 0, L) < 0:
+            q -= 1
         lrs.append(q)
-        ttrail: list[tuple[int, int]] = []  # (length, value) of each new threat
+        ttrail: list[tuple[dict[int, int], int]] = []  # each new threat
         # a run r of period m >= t fits in the word (r <= L - m + 1) and
         # stops short of a t-overlap (r <= m + t - 1); with t = 0 the row
         # is empty. Each threat is the q letters from start, q in
@@ -476,42 +429,18 @@ class SplitOverlapEngine:
             base = pref[start]
             for q in range(m + t - r, m + 1):
                 v = pref[start + q] - base * powk[q]
-                u, b = divmod(v, k)
-                d = tdicts[q].get(u)
-                if d is None:
-                    d = tdicts[q][u] = {}
-                elif b in d:
-                    continue
-                d[b] = L
-                ttrail.append((q, v))
+                d = tdicts[q]
+                if v not in d:
+                    d[v] = L
+                    ttrail.append((d, v))
         self.td_trail.append(ttrail)
 
     def pop(self) -> None:
-        pref = self.pref
-        powk = self.powk
-        ell = len(self.word)
-        q = ell if ell < SHORT_FACTOR_LEN else SHORT_FACTOR_LEN
-        v = pref[ell] - pref[ell - q] * powk[q]
-        if q == SHORT_FACTOR_LEN:
-            ends = self.occ[v]
-            ends.pop()
-            if not ends:
-                del self.occ[v]
-        low = self.lrs.pop()
-        fdicts = self.fdicts
-        while q > low:
-            del fdicts[q][v]
-            q -= 1
-            v %= powk[q]
         a = self.word.pop()
+        self.text = self.text[:-1]
         self.pos[a].pop()
         self.runs.pop()
-        pref.pop()
-        tdicts = self.tdicts
-        k = self.k
-        for q, v in self.td_trail.pop():
-            u, b = divmod(v, k)
-            d = tdicts[q][u]
-            del d[b]
-            if not d:
-                del tdicts[q][u]
+        self.pref.pop()
+        self.lrs.pop()
+        for d, v in self.td_trail.pop():
+            del d[v]

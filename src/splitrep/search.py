@@ -45,7 +45,7 @@ from .detect import (
     find_split_t_overlap,
     find_t_overlap_factor,
 )
-from .engines import DisjointFactorEngine, SplitOverlapEngine
+from .engines import MAX_SPLIT_K, DisjointFactorEngine, SplitOverlapEngine
 from .words import Word, format_word, parse_word
 
 # above this length verify_witness trades the quartic independent detectors
@@ -84,6 +84,8 @@ class SearchProblem:
                 raise ValueError("factor length must be >= 1")
         elif self.param < 0:
             raise ValueError("t must be >= 0")
+        elif self.k > MAX_SPLIT_K:  # the split engine's letters are chr() values
+            raise ValueError(f"alphabet size must be <= {MAX_SPLIT_K}, got {self.k}")
 
     def engine(self):
         if self.kind is ProblemKind.DISJOINT_FACTORS:

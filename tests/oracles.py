@@ -161,9 +161,9 @@ class AllLengthsSplitEngine:
     fdicts[q] maps the value of every length-q factor, for every q up to the
     current length, to its earliest end: O(length) inserts per push, but
     every query is a single dict lookup. Every live threat length is tried
-    in turn. The package engine replaces both with short per-length tables
-    plus occurrence lists keyed by the last letters; the two must agree on
-    every can_extend and try_push.
+    in turn. The package engine keeps no factor index (it searches the word
+    itself) and tries only threat lengths its longest repeated suffix
+    allows; the two must agree on every can_extend and try_push.
 
     A violation is either a contiguous t-overlap factor, or nonempty
     factors x before z with gap >= min_gap whose concatenation x.z

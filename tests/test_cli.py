@@ -17,11 +17,17 @@ from splitrep.cli import (
 from splitrep.words import parse_word
 
 
+# far above any CLI call below; a command that does not return fails its
+# test instead of hanging the suite, and subprocess.run kills it
+CLI_TIMEOUT_S = 300
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "splitrep.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=CLI_TIMEOUT_S,
     )
     return proc
 
@@ -224,6 +230,8 @@ class TestUsageErrors:
             ["search", "S", "--k", "2", "--t", "1", "--seconds", "nan"],
             # 2**30 words: over the enumeration budget of the capacity table
             ["search", "C", "--k", "2", "--n", "30", "--seconds", "1"],
+            # the split engine's letters are chr() values
+            ["search", "S", "--k", "1114113", "--t", "1"],
         ],
     )
     def test_rejected_arguments(self, argv):

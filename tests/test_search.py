@@ -6,12 +6,9 @@ import time
 import pytest
 
 import oracles
+from splitrep import counting
 from splitrep.detect import GapConvention, find_split_t_overlap
-from splitrep.engines import (
-    SHORT_FACTOR_LEN,
-    DisjointFactorEngine,
-    SplitOverlapEngine,
-)
+from splitrep.engines import DisjointFactorEngine, SplitOverlapEngine
 from splitrep.knownvalues import load_known_cells
 from splitrep.search import (
     Checkpoint,
@@ -136,9 +133,9 @@ class TestEngineAgainstOracle:
             if kind == "C":
                 assert not engine.earliest and engine.live_total == 0
             else:
-                assert all(not d for d in engine.fdicts)
+                assert engine.text == ""
                 assert all(not d for d in engine.tdicts)
-                assert not engine.occ
+                assert not engine.td_trail
 
     @pytest.mark.parametrize("k,n", [(1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
     def test_disjoint_state_matches_replay(self, k, n):
@@ -162,17 +159,17 @@ class TestEngineAgainstOracle:
 
 
 class TestIndexAgainstReference:
-    """The short factor tables plus their occurrence lists, and the threat
-    table keyed by prefix, answer exactly as an index of every length does,
-    on words far past SHORT_FACTOR_LEN.
+    """Factor lookups in the word's own text, and the threat tables checked
+    per letter, answer exactly as an index of every length does, on long
+    words.
 
     Random push/pop walks: letters are random, or copied from a random
     earlier position so that long repeated factors (and hence long-factor
     queries that succeed) occur. Every step compares can_extend for every
     letter, the batched verdicts and their run rows, and the try_push
     verdict with the reference engine, checks the longest repeated suffix
-    of every prefix against brute force, and probes the factor lookup
-    `_seen` on factors of the current word of every length directly.
+    of every prefix against brute force, and probes the factor lookup in
+    `text` on factors of the current word of every length directly.
     """
 
     STEPS = 1000
@@ -231,8 +228,8 @@ class TestIndexAgainstReference:
     def test_long_threat_at_minimum_gap(self):
         # the last letter completes x . y . z with |y| = 1 (the least gap the
         # convention allows) and a 14-letter z: x pins the period block, so
-        # z is a threat longer than SHORT_FACTOR_LEN, barred through the
-        # table of its first 13 letters
+        # z is a 14-letter threat, barred through the length-14 threat
+        # table under its first 13 letters, which end the word
         text = (
             "2102221110211022022020222212212110021112211200211112212120002121"
             "1122121200021"
@@ -260,18 +257,27 @@ class TestIndexAgainstReference:
 
     @staticmethod
     def _probe_factor_lookup(engine, ref, rng):
-        # both tiers: the per-length tables up to SHORT_FACTOR_LEN and the
-        # occurrence lists above it
-        L = len(engine.word)
-        pref, powk = engine.pref, engine.powk
+        # the engine's lookup: x occurs ending at or before bound iff
+        # text.find(x, 0, bound + 1) >= 0, for bound + 1 > 0 (str.find counts
+        # a negative end from the back). Every length, bounds within 3 of the
+        # factor's end, and about 30% of the probes for an absent factor
+        text = engine.text
+        assert text == "".join(map(chr, engine.word))
+        L = len(text)
+        k = engine.k
         for s in range(1, L + 1):
             end = rng.randrange(s - 1, L)
-            v = pref[end + 1] - pref[end + 1 - s] * powk[s]
+            x = text[end + 1 - s : end + 1]
             if rng.random() < 0.3:
-                v ^= 1  # usually a value that does not occur
-            bound = end + rng.randrange(-3, 4)
+                # change the last letter: usually a factor that does not occur
+                x = x[:-1] + chr((ord(x[-1]) + 1) % k)
+            v = 0
+            for c in x:
+                v = v * k + ord(c)
             e = ref.fdicts[s].get(v)
-            assert engine._seen(s, v, bound) == (e is not None and e <= bound)
+            for bound in (end + rng.randrange(-3, 4), -1 - end % 3):
+                found = bound + 1 > 0 and text.find(x, 0, bound + 1) >= 0
+                assert found == (e is not None and e <= bound), (x, bound)
 
 
 class TestExhaustiveAgreement:
@@ -420,6 +426,41 @@ class TestSearchProperties:
         t0 = time.monotonic()
         out = longest_avoiding(problem, SearchBudget(seconds=1.0, workers=workers))
         assert time.monotonic() - t0 < 5
+        assert out.status is SearchStatus.LOWER_BOUND
+
+    def test_one_period_table_per_disjoint_search(self, monkeypatch):
+        # the planner, every task's replay and certified_cap share one
+        # enumeration of the 2**6 length-6 words; the outcome is the one
+        # recorded when each engine enumerated them itself
+        repeats = []
+        product = counting.product
+
+        def counted(*args, repeat):
+            repeats.append(repeat)
+            return product(*args, repeat=repeat)
+
+        monkeypatch.setattr(counting, "product", counted)
+        counting.smallest_periods.cache_clear()
+        counting.theorem_sum_bound.cache_clear()
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 6)
+        out = longest_avoiding(problem, SearchBudget(nodes=200))
+        assert repeats == [6]
+        assert (out.max_length, out.status, out.nodes_explored) == (
+            96, SearchStatus.LOWER_BOUND, 12927,
+        )
+        assert format_word(out.witness) == (
+            "000011100000000000100001000101001001001100011000110101010101100101"
+            "110110110111100111111111101000"
+        )
+
+    def test_short_budget_on_a_large_period_table(self):
+        # 2**16 words enumerated once, not once per planned task (11 s)
+        counting.smallest_periods.cache_clear()
+        counting.theorem_sum_bound.cache_clear()
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 16)
+        t0 = time.monotonic()
+        out = longest_avoiding(problem, SearchBudget(seconds=0.05))
+        assert time.monotonic() - t0 < 2
         assert out.status is SearchStatus.LOWER_BOUND
 
     def test_task_past_its_deadline_returns_at_once(self):
