@@ -478,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--budget", type=int, default=None, help="node budget per task")
     p.add_argument("--seconds", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per task; any count "
+                   "gives the same result")
     p.add_argument("--split-depth", type=int, default=None)
     p.add_argument("--frontier", action="store_true",
                    help="budgeted lower-bound mode (single task)")

@@ -59,6 +59,7 @@ number follows the runs of the word.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 
 from .counting import smallest_periods, theorem_sum_bound
@@ -225,7 +226,7 @@ class SplitOverlapEngine:
         self.rev = reversed_mode
         self.word: list[int] = []
         self.text = ""                         # the word again, chr(letter) per letter
-        self.pos: list[list[int]] = [[] for _ in range(k)]
+        self.pos: defaultdict[int, list[int]] = defaultdict(list)  # letter -> positions
         # per position: period m -> run length, m ascending
         self.runs: list[dict[int, int]] = []
         self.pref: list[int] = [0]             # pref[i] = value of word[:i], base k

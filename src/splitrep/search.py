@@ -21,17 +21,17 @@ after every accepted letter:
 Determinism: letters are tried in increasing order, so the first word
 found at any length is the lexicographically least; node budgets are
 counted in extension attempts, and a budget of N tries exactly N. A
-search is split at a fixed depth into independent subtree tasks executed
-by a worker pool; the task list, the per-task budgets and the merge are
-functions of the problem alone, so runs with different worker counts
-report identical outcomes. SearchBudget.seconds caps the whole search.
+search is split at a fixed depth into independent subtree tasks, run in
+turn or on a process pool of at most one worker per task. The tasks, their
+budgets and the merge depend on the problem alone and results are read in
+task order, so any worker count reports the same outcome. A task reaching a
+certified cap ends the search; SearchBudget.seconds caps the whole search.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import multiprocessing
 import os
 import random
 import time
@@ -482,16 +482,15 @@ def longest_avoiding(
         for p in prefixes
     ]
     results: list[_TaskResult] = []
-    if budget.workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(budget.workers) as pool:
-            for result in pool.imap(_run_task, tasks):
-                results.append(result)
-                if result.cap_hit:
-                    pool.terminate()
-                    break
-    else:
-        for task in tasks:
-            result = _run_task(task)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if budget.workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+            pool = ProcessPoolExecutor(min(budget.workers, len(tasks)))
+            # leaving drops the tasks not yet handed to a worker; the rest finish
+            stack.callback(pool.shutdown, cancel_futures=True)
+            run = pool.map
+        for result in run(_run_task, tasks):  # in task order either way
             results.append(result)
             if result.cap_hit:
                 break

@@ -1,5 +1,7 @@
 """Search engines and drivers: oracle agreement, determinism, checkpoints."""
 
+import concurrent.futures
+import os
 import random
 import time
 
@@ -463,6 +465,15 @@ class TestSearchProperties:
         assert time.monotonic() - t0 < 2
         assert out.status is SearchStatus.LOWER_BOUND
 
+    def test_short_budget_on_a_huge_alphabet(self):
+        # the split engine sets up nothing per letter of the alphabet,
+        # which the replay of every planned task would repeat
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 200_000, 1)
+        t0 = time.monotonic()
+        out = longest_avoiding(problem, SearchBudget(seconds=0.5))
+        assert time.monotonic() - t0 < 2
+        assert out.status is SearchStatus.LOWER_BOUND
+
     def test_task_past_its_deadline_returns_at_once(self):
         problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 4)
         task = (problem, [0, 0], None, None, time.monotonic() - 1, False, False)
@@ -518,6 +529,44 @@ class TestExtendCheck:
 
 
 class TestDeterminismAcrossWorkers:
+    @pytest.mark.parametrize("k,n", [(3, 3), (4, 3), (5, 2)])
+    def test_cap_hit_one_vs_two_workers(self, k, n):
+        # the first task to reach the certified cap ends the search; on a
+        # pool the started tasks finish and the rest are dropped
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, k, n)
+        single = longest_avoiding(problem, SearchBudget(workers=1))
+        multi = longest_avoiding(problem, SearchBudget(workers=2))
+        assert outcome_key(single) == outcome_key(multi)
+        assert multi.status is SearchStatus.EXACT
+        assert multi.max_length == certified_cap(problem)
+
+    def test_never_more_workers_than_tasks(self, monkeypatch):
+        # a stand-in pool that records its size and runs the tasks here,
+        # so the huge count never starts a process
+        sizes, cancels = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                cancels.append(cancel_futures)
+
+        def no_fork():
+            raise AssertionError("a pool of 10**6 workers must never start")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "fork", no_fork)
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 3)
+        tasks = len(_plan_tasks(problem)[1])
+        out = longest_avoiding(problem, SearchBudget(workers=10**6))
+        assert sizes == [tasks] and cancels == [True]
+        assert outcome_key(out) == outcome_key(longest_avoiding(problem))
+        assert out.max_length == certified_cap(problem)  # a cap hit
+
     def test_c24_one_vs_many_workers(self):
         problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 4)
         single = longest_avoiding(problem, SearchBudget(workers=1))
