@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -126,10 +127,16 @@ class RunReport:
 
 
 def _emit(args, report: RunReport) -> None:
-    if getattr(args, "json", False):
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    text = report.to_json() if getattr(args, "json", False) else report.to_text()
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early. Point fd 1 at devnull so that the
+        # flush at exit does not raise again, and keep the command's exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _usage_error(parser, message: str) -> int:

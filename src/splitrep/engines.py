@@ -12,9 +12,11 @@ A depth-first search drives an engine with three calls per node:
     once and returns, per letter, None (the append would violate) or a
     token holding what the check computed for it (the letter's run row, or
     for the disjoint-factor engine the rolling value of its last n letters,
-    the length-n factor it completes). Work that depends only on the node,
-    such as the prefix values, the rows of all letters and the threat
-    lookups, is done once, not per letter.
+    the length-n factor it completes). Each check is made once per node,
+    not once per letter: the threat lookups and, in the split engine, the
+    contiguous and pinned-split checks, which each make one pass over the
+    periods (a period concerns a single letter). Tokens are built only for
+    the letters that pass.
   * commit(a, token) appends a with the token verdicts() gave it at this
     node, without checking again. Tokens stay valid while the engine is at
     that node, including after pushes below it have been popped.
@@ -52,9 +54,9 @@ R(2,4) word), so the number of lookups does not grow with depth; each is
 one scan of text in C. A split x.z whose later piece is longer than one
 period pins x, so it is looked up from the suffix at check time and is
 not armed as a threat. What still grows with depth in Python is building
-the rows (one entry per earlier occurrence of a letter, about L/k) and
-arming the threats for later pieces no longer than one period, whose
-number follows the runs of the word.
+the accepted letter's row (one entry per earlier occurrence of the letter,
+about L/k, which commit keeps) and arming the threats for later pieces no
+longer than one period, whose number follows the runs of the word.
 """
 
 from __future__ import annotations
@@ -242,137 +244,130 @@ class SplitOverlapEngine:
     def verdicts(self, letters: Sequence[int]) -> list[dict[int, int] | None]:
         """For each letter, None if appending it creates a violation, else
         its run row (period m -> run length at the new position), the token
-        commit() takes."""
+        commit() takes. The threats, the contiguous t-overlaps and the
+        splits pinned by the suffix (_bar_pinned) are each checked once per
+        node; the last two visit periods, as period m concerns only the
+        letter word[L - m]. Rows are built for the letters that pass."""
         pos = self.pos
         t = self.t
-        if not t:
-            # barred iff the letter already occurs (see the class docstring)
-            return [None if pos[a] else {} for a in letters]
         word = self.word
         L = len(word)
+        if not t or not L:
+            # t = 0: barred iff the letter already occurs (see the class
+            # docstring); the empty word bars nothing
+            return [None if pos[a] else {} for a in letters]
+        live = set(letters)
+        # a threat's first q - 1 letters are the word's last q - 1. Every
+        # threat is a factor seen before, so those q - 1 letters are a
+        # repeated suffix: q <= lrs[L - 1] + 1
+        tdicts = self.tdicts
+        powk = self.powk
+        pL = self.pref[L]
+        k = self.k
         mg = self.mg
-        barred = set()
-        if L:
-            # a threat's first q - 1 letters are the word's last q - 1. Every
-            # threat is a factor seen before, so those q - 1 letters are a
-            # repeated suffix: q <= lrs[L - 1] + 1
-            tdicts = self.tdicts
-            powk = self.powk
-            pL = self.pref[L]
-            k = self.k
-            for q in range(1, min(L - mg, self.lrs[-1] + 1) + 1):
-                d = tdicts[q]
-                if d:
-                    u = pL % powk[q - 1] * k
-                    lim = L - q - mg
-                    for a in letters:
-                        e = d.get(u + a)
-                        if e is not None and e <= lim:
-                            barred.add(a)
-        # the rows of the letters left, periods ascending: each earlier
-        # position p of a letter starts a run of period L - p, which one pass
-        # over the previous row extends where that run reached the previous
-        # letter
-        rows = {}
-        for a in letters:
-            if a not in barred:
-                rows[a] = {L - p: 1 for p in reversed(pos[a])}
-        if self.runs:
-            for m, r in self.runs[-1].items():
-                row = rows.get(word[L - m])
-                if row is not None:
-                    if r + 1 >= m + t and m >= t:
-                        # contiguous t-overlap: the run reaches m + t letters
-                        del rows[word[L - m]]
-                    else:
-                        row[m] = r + 1
-        out = []
-        for a in letters:
-            row = rows.get(a)
-            out.append(None if row is None or self._period_violates(row) else row)
-        return out
+        for q in range(1, min(L - mg, self.lrs[-1] + 1) + 1):
+            d = tdicts[q]
+            if d:
+                u = pL % powk[q - 1] * k
+                lim = L - q - mg
+                for a in letters:
+                    e = d.get(u + a)
+                    if e is not None and e <= lim:
+                        live.discard(a)
+        # contiguous t-overlap: the run of period m >= t reaches m + t letters.
+        # A run r at L - 1 repeats a suffix, so m + t <= r + 1 <= lrs[L - 1] + 1
+        prev = self.runs[-1]
+        mtop = self.lrs[-1] + 1 - t
+        for m, r in prev.items():
+            if m > mtop:
+                break  # so are all longer periods
+            if r + 1 >= m + t and m >= t:
+                live.discard(word[L - m])
+        if live:
+            self._bar_pinned(live)
+        # each earlier position p of a letter starts a run of period L - p,
+        # which extends the run of that period at L - 1; periods ascending
+        prevget = prev.get
+        rows = {
+            a: {L - p: prevget(L - p, 0) + 1 for p in reversed(pos[a])}
+            for a in live
+        }
+        return [rows.get(a) for a in letters]
 
-    def _period_violates(self, row: dict[int, int]) -> bool:
-        """The per-letter part of the check (t >= 1): factors pinned by the
-        suffix through the periods in row, which come in ascending order.
+    def _bar_pinned(self, live: set[int]) -> None:
+        """Discard from live every letter whose append completes a split
+        pinned by the suffix (t >= 1). One pass visits the periods m
+        ascending; period m concerns only the letter word[L - m], whose run
+        there is r = runs[L - 1].get(m, 0) + 1. It skips the letters no
+        longer live and stops once none is.
 
         Each pinned x is looked up only if it can have occurred before: a
         factor with a known end p that is longer than lrs[p] has no earlier
         occurrence, and every lookup bound lies below its p. Since
         lrs[p] <= lrs[p - 1] + 1, e + lrs[p - e] never decreases as e grows,
         so the loops below run from the longest offset down and stop at the
-        first x too long to repeat. A run in row is a repeated suffix too
-        (r - 1 <= lrs[L - 1]), which caps the offsets, and with them the
-        periods worth visiting, before the loops start.
+        first x too long to repeat. A run at the new position is a repeated
+        suffix too (r - 1 <= lrs[L - 1]), which caps the offsets, and with
+        them the periods worth visiting, before the pass starts; the caps
+        depend on the node alone.
 
         A lookup is text.find(x, 0, end) >= 0: x occurs ending before end.
         Periods above mfit are never visited, which keeps every end at
         least len(x) > 0; a negative end would count from the back.
         """
-        if not row:
-            return False
-        L = len(self.word)
+        word = self.word
+        L = len(word)
         ell = L + 1
         t = self.t
         mg = self.mg
         lrs = self.lrs
         text = self.text
         find = text.find
-        # a period m >= t in row has a run r <= m + t - 1 (no t-overlap)
+        # a period m >= t has a run r <= m + t - 1 (no t-overlap)
         mfit = (ell - t - mg) // 2  # longer periods leave no room for x
+        lrs1 = lrs[-1] + 1
+        scap = ccap = rcap = 0
         if not self.rev:
             # z = suffix V.P.P[:t] with period m; x = P[:m-g] seen earlier,
             # the factor of length m - g ending at L - t - g, g <= r - t
-            gtop = lrs[-1] + 1 - t
-            mcap = gtop + lrs[L - t - gtop] if gtop >= 0 else 0
-            if mcap > mfit:
-                mcap = mfit
-            for m, r in row.items():
-                if m > mcap:
-                    break  # so are all longer periods
-                if r < t or m < t:
-                    continue
-                start = ell - m - t
-                for g in range(r - t, -1, -1):
-                    if m - g > lrs[L - t - g]:
-                        break
-                    if find(text[start : ell - t - g], 0, start - g - mg) >= 0:
-                        return True
-            if t > 1:
-                # z = the suffix of length m + t - c with period m, 0 < c < t
-                # (x.z splits the t-overlap inside its second period): z[:m]
-                # is y, ending at e - 1 = L - (t - c), and x = y[-c:].y seen
-                # earlier
-                mcap = max(lrs[L - t + 1 :])  # y must repeat
-                if mcap > mfit:
-                    mcap = mfit
-                for m, r in row.items():
-                    if m > mcap:
-                        break
-                    if m < t:
-                        continue
-                    for c in range(t - r if t - r > 1 else 1, t):
-                        e = ell - t + c
-                        if m > lrs[e - 1]:
-                            continue
-                        if find(text[e - c : e] + text[e - m : e], 0, e - m - mg) >= 0:
-                            return True
+            gtop = lrs1 - t
+            scap = min(gtop + lrs[L - t - gtop] if gtop >= 0 else 0, mfit)
+            # t > 1: z = the suffix of length m + t - c with period m, 0 < c < t
+            # (x.z splits the t-overlap inside its second period): z[:m] is y,
+            # ending at e - 1 = L - (t - c), and x = y[-c:].y seen earlier;
+            # y must repeat
+            ccap = min(max(lrs[L - t + 1 :]), mfit) if t > 1 else 0
         else:
             # z = periodic suffix of length s > m pinning Q; x = Q[s-m:] seen
             # earlier. With j = s - m: for j > t, x is the factor of length
             # m + t - j ending at L - (j - t); for j <= t it starts with the
             # new suffix of length m, which extends a repeated old suffix.
             # h = j - t <= r - t <= lrs[L - 1] + 1 - t
-            lrs1 = lrs[-1] + 1
             htop = lrs1 - t if lrs1 - t > 1 else 1
-            mcap = htop + lrs[L - htop]
-            if mcap > mfit:
-                mcap = mfit
-            for m, r in row.items():
-                if m > mcap:
-                    break  # so are all longer periods
-                if m < t:
-                    continue
+            rcap = min(htop + lrs[L - htop], mfit)
+        prevget = self.runs[-1].get
+        for m in range(t, max(scap, ccap, rcap) + 1):
+            a = word[L - m]
+            if a not in live:
+                continue
+            r = prevget(m, 0) + 1
+            if m <= scap and r >= t:
+                start = ell - m - t
+                for g in range(r - t, -1, -1):
+                    if m - g > lrs[L - t - g]:
+                        break
+                    if find(text[start : ell - t - g], 0, start - g - mg) >= 0:
+                        live.discard(a)
+                        break
+            if m <= ccap and a in live:
+                for c in range(t - r if t - r > 1 else 1, t):
+                    e = ell - t + c
+                    if m > lrs[e - 1]:
+                        continue
+                    if find(text[e - c : e] + text[e - m : e], 0, e - m - mg) >= 0:
+                        live.discard(a)
+                        break
+            if m <= rcap:
                 for s in range(m + r, m, -1):
                     h = s - m - t
                     if m > (h + lrs[L - h] if h > 1 else lrs1):
@@ -383,8 +378,10 @@ class SplitOverlapEngine:
                     else:
                         x = text[ell - 2 * m : zstart + t]
                     if find(x, 0, zstart - mg) >= 0:
-                        return True
-        return False
+                        live.discard(a)
+                        break
+            if not live:
+                return
 
     can_extend = _can_extend
     try_push = _try_push

@@ -203,6 +203,38 @@ class TestCriterion4Witnesses:
         )
         assert not failures
 
+    def test_lower_bound_witnesses_pass_detectors(self, record):
+        # a >= cell's word comes from a budgeted search, and above 100
+        # letters verify_witness replays it through the engine that found
+        # it; the detectors share no code with the engines. EMPTY_OK bars
+        # every split that GAP_REQUIRED bars, so one run covers both
+        split_finder = {"S": find_split_t_overlap, "R": find_reversed_split_t_overlap}
+        failures = []
+        checked = 0
+        for cell in load_known_cells():
+            if cell.witness is None or cell.relation != ">=":
+                continue
+            w = cell.witness_word()
+            name = f"{cell.table}({cell.k},{cell.param})"
+            if len(w) != cell.value:
+                failures.append(f"{name} length")
+            if cell.table == "C":
+                clean = find_disjoint_pair(w, cell.param) is None
+            else:
+                clean = (
+                    find_t_overlap_factor(w, cell.param) is None
+                    and split_finder[cell.table](w, cell.param, GapConvention.EMPTY_OK)
+                    is None
+                )
+            if not clean:
+                failures.append(f"{name} violation")
+            checked += 1
+        record(
+            f"criterion 4 (>= witness words pass the detectors): "
+            f"{'FAIL ' + '; '.join(failures) if failures else f'PASS ({checked} words)'}"
+        )
+        assert not failures and checked
+
     def test_search_reproduces_lex_least_witnesses(self, record, pytestconfig):
         failures = []
         checked = 0

@@ -79,6 +79,24 @@ class TestSearchCommand:
         proc = run_cli("search", "C", "--k", "2")
         assert proc.returncode == EXIT_USAGE
 
+    def test_closed_stdout_keeps_exit_code(self):
+        # a reader that closes the pipe before the report is written, as
+        # `| head` does, must not turn the exit code into 1 with a traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "splitrep.cli",
+             "search", "C", "--k", "2", "--n", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=CLI_TIMEOUT_S)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+
     def test_json_round_trip(self, capsys):
         assert main(["search", "R", "--k", "2", "--t", "2", "--json"]) == 0
         text = capsys.readouterr().out

@@ -169,9 +169,12 @@ class TestIndexAgainstReference:
     earlier position so that long repeated factors (and hence long-factor
     queries that succeed) occur. Every step compares can_extend for every
     letter, the batched verdicts and their run rows, and the try_push
-    verdict with the reference engine, checks the longest repeated suffix
-    of every prefix against brute force, and probes the factor lookup in
-    `text` on factors of the current word of every length directly.
+    verdict with the reference engine, checks that verdicts on a random
+    subset of the letters, in random order, agree with the full batch,
+    checks the longest repeated suffix of every prefix against brute force
+    and that it bounds every run at the last position, and probes the
+    factor lookup in `text` on factors of the current word of every length
+    directly.
     """
 
     STEPS = 1000
@@ -184,6 +187,8 @@ class TestIndexAgainstReference:
         rev = kind == "R"
         for convention in GapConvention:
             rng = random.Random(f"{k}-{t}-{kind}-{convention.value}")
+            # draws the subsets apart from rng, so the walks stay the same
+            subset_rng = random.Random(f"subsets-{k}-{t}-{kind}-{convention.value}")
             engine = SplitOverlapEngine(k, t, convention, reversed_mode=rev)
             ref = oracles.AllLengthsSplitEngine(
                 k, t, convention.min_gap, reversed_mode=rev
@@ -200,6 +205,8 @@ class TestIndexAgainstReference:
                 assert [tok is not None for tok in tokens] == verdicts, word
                 for a, tok in enumerate(tokens):
                     assert tok is None or tok == ref._row(a), word
+                subset = subset_rng.sample(range(k), subset_rng.randint(1, k))
+                assert engine.verdicts(subset) == [tokens[a] for a in subset], word
                 if (
                     not any(verdicts)
                     or len(word) >= self.MAX_DEPTH
@@ -222,6 +229,8 @@ class TestIndexAgainstReference:
                 assert ref.try_push(a) == pushed == verdicts[a], word
                 if pushed:
                     lrs.append(oracles.longest_repeated_suffix(word))
+                    # a run repeats a suffix: the contiguous check stops there
+                    assert max(engine.runs[-1].values(), default=0) <= engine.lrs[-1]
                 else:
                     copy_from = None
                 self._probe_factor_lookup(engine, ref, rng)
@@ -680,7 +689,7 @@ class TestFrontier:
         "kind,k,t,start",
         [
             # the first 110 letters of long stored words; no S(3,2) word over
-            # 100 letters is known (the table gives >= 97), so S(4,2) stands
+            # 100 letters is known (the table gives >= 98), so S(4,2) stands
             # in for the split kind
             (
                 "R", 2, 4,
