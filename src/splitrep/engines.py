@@ -53,10 +53,19 @@ lrs stays small on long violation-free words (at most 14 on a 134-letter
 R(2,4) word), so the number of lookups does not grow with depth; each is
 one scan of text in C. A split x.z whose later piece is longer than one
 period pins x, so it is looked up from the suffix at check time and is
-not armed as a threat. What still grows with depth in Python is building
-the accepted letter's row (one entry per earlier occurrence of the letter,
-about L/k, which commit keeps) and arming the threats for later pieces no
-longer than one period, whose number follows the runs of the word.
+not armed as a threat.
+
+A length-q threat is probed only when q <= lrs + 1, so the engine arms only
+lengths up to qtop, 1 + the longest lrs it has recorded, where the runs of
+a long word would arm lengths up to one period. qtop starts at 1 and never
+falls: a push whose lrs reaches qtop raises it by one and arms the new
+length at every earlier position in one scan of their runs, earliest first,
+each threat in the trail of the position that owns it. The tables are thus
+those that arming every length would keep, cut at qtop, and pop needs no
+special case. On the stored 134-letter R(2,4) word qtop is 15 and the
+tables hold 158 threats, against 1,221 with every length armed. What still
+grows with depth in Python is building the accepted letter's row: one
+entry per earlier occurrence of the letter, about L/k, which commit keeps.
 """
 
 from __future__ import annotations
@@ -232,14 +241,19 @@ class SplitOverlapEngine:
         # per position: period m -> run length, m ascending
         self.runs: list[dict[int, int]] = []
         self.pref: list[int] = [0]             # pref[i] = value of word[:i], base k
-        self.powk: list[int] = [1, k]          # powk[i] = k**i, i <= len(word) + 1
         # lrs[p]: length of the longest suffix of word[:p + 1] that also ends
         # before p
         self.lrs: list[int] = []
-        # tdicts[q]: value of a length-q threat -> earliest end of its x;
-        # grown with powk, one table per length
+        # the longest threat worth arming: 1 + the longest lrs this engine has
+        # recorded. A probe looks up lengths q <= lrs[-1] + 1 <= qtop; qtop
+        # only grows, so popping never leaves a probed length unarmed
+        self.qtop = 1
+        self.powk: list[int] = [1, k]          # powk[i] = k**i, i <= qtop
+        # tdicts[q]: value of a length-q threat -> earliest end of its x, the
+        # threats every position of the word arms, for q = 1..qtop
         self.tdicts: list[dict[int, int]] = [{}, {}]
-        self.td_trail: list[list[tuple[dict[int, int], int]]] = []  # (table, value) per push
+        # per position: (table, value) of each threat it owns
+        self.td_trail: list[list[tuple[dict[int, int], int]]] = []
 
     def verdicts(self, letters: Sequence[int]) -> list[dict[int, int] | None]:
         """For each letter, None if appending it creates a violation, else
@@ -399,9 +413,6 @@ class SplitOverlapEngine:
         self.pos[a].append(L)
         self.runs.append(row)
         pref.append(pref[L] * self.k + a)
-        if len(powk) == ell + 1:
-            powk.append(powk[-1] * self.k)
-            self.tdicts.append({})
         # the longest repeated suffix is at most one letter longer than the
         # previous one; longest first, it must occur inside text[:L]
         lrs = self.lrs
@@ -417,15 +428,42 @@ class SplitOverlapEngine:
         # arms (P.P[:t])[c:], the next q = m + t - c letters of the run,
         # from ell - m; only c >= t, since a shorter x is pinned by its z
         # and looked up at the suffix. Reversed: x = Q[q:].Q ending here
-        # arms Q[:q], from ell - m - t
+        # arms Q[:q], from ell - m - t. Only q <= qtop is armed
         tdicts = self.tdicts
         off = t if self.rev else 0
+        qtop = self.qtop
+        if q == qtop:
+            # probes can now reach length q + 1: arm it at every earlier
+            # position p, earliest first and in p's trail, so that the table
+            # is the one pushing p with this qtop would have armed and pop
+            # undoes it with p. A run at p repeats a suffix (r <= lrs[p]),
+            # so m + t - r <= qtop <= m needs m <= qtop + lrs[p] - t
+            qtop = self.qtop = q + 1
+            pk = powk[-1] * self.k
+            powk.append(pk)
+            d = {}
+            tdicts.append(d)
+            runs = self.runs
+            td_trail = self.td_trail
+            for p in range(L):
+                get = runs[p].get
+                for m in range(max(t, qtop), qtop + lrs[p] - t + 1):
+                    r = get(m)
+                    if r is not None and r + qtop >= m + t:
+                        start = p + 1 - m - off
+                        v = pref[start + qtop] - pref[start] * pk
+                        if v not in d:
+                            d[v] = p
+                            td_trail[p].append((d, v))
+        mtop = qtop + q - t  # r <= q: longer periods arm no length <= qtop
         for m, r in row.items():
+            if m > mtop:
+                break
             if m < t or r < t:
                 continue
             start = ell - m - off
             base = pref[start]
-            for q in range(m + t - r, m + 1):
+            for q in range(m + t - r, (m if m < qtop else qtop) + 1):
                 v = pref[start + q] - base * powk[q]
                 d = tdicts[q]
                 if v not in d:

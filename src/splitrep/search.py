@@ -556,12 +556,13 @@ def verify_witness(problem: SearchProblem, w: Word) -> bool:
 
 # --- budgeted frontier search with checkpointing ---------------------------
 
-CHECKPOINT_MAGIC = "splitrep-checkpoint-v1"
+CHECKPOINT_MAGIC = "splitrep-checkpoint-v2"
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable single-task DFS position: problem, best so far, prefix, nodes."""
+    """Resumable single-task DFS position: problem, best so far, prefix,
+    nodes, and the frontier settings a resume must repeat."""
 
     problem: SearchProblem
     budget_nodes: int | None
@@ -569,6 +570,18 @@ class Checkpoint:
     best: str
     prefix: str
     nodes: int
+    strategy: str
+    rng_seed: int
+    dive_nodes: int
+    tie_swap: float
+
+    def settings(self) -> dict:
+        return {
+            "strategy": self.strategy,
+            "rng_seed": self.rng_seed,
+            "dive_nodes": self.dive_nodes,
+            "tie_swap": self.tie_swap,
+        }
 
     def render(self) -> str:
         p = self.problem
@@ -583,6 +596,7 @@ class Checkpoint:
             f"best={self.best}",
             f"prefix={self.prefix}",
             f"nodes={self.nodes}",
+            *(f"{name}={value}" for name, value in self.settings().items()),
         ]
         return "\n".join(lines) + "\n"
 
@@ -590,7 +604,7 @@ class Checkpoint:
     def parse(text: str) -> "Checkpoint":
         lines = text.splitlines()
         if not lines or lines[0] != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file")
+            raise ValueError(f"not a {CHECKPOINT_MAGIC} file")
         fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
         try:
             problem = SearchProblem(
@@ -608,6 +622,10 @@ class Checkpoint:
                 best=fields["best"],
                 prefix=fields["prefix"],
                 nodes=int(fields["nodes"]),
+                strategy=fields["strategy"],
+                rng_seed=int(fields["rng_seed"]),
+                dive_nodes=int(fields["dive_nodes"]),
+                tie_swap=float(fields["tie_swap"]),
             )
         except KeyError as exc:
             raise ValueError(f"checkpoint has no {exc.args[0]!r} field") from None
@@ -635,7 +653,9 @@ def frontier_lower_bound(
     disjoint factors and "restarts" otherwise. Both are deterministic
     given the budget and rng_seed. The node budget applies to this
     invocation; a resumed run gets a fresh budget while nodes_explored
-    accumulates across runs.
+    accumulates across runs. A checkpoint records the strategy, rng_seed,
+    dive_nodes and tie_swap, and a resume with other values raises
+    ValueError.
     """
     if strategy == "auto":
         strategy = (
@@ -645,11 +665,23 @@ def frontier_lower_bound(
         raise ValueError(f"unknown frontier strategy {strategy!r}")
     if dive_nodes < 1:
         raise ValueError(f"dive_nodes must be >= 1, got {dive_nodes}")
+    settings = {
+        "strategy": strategy,
+        "rng_seed": rng_seed,
+        "dive_nodes": dive_nodes,
+        "tie_swap": float(tie_swap),  # as a checkpoint reads it back
+    }
     start = time.monotonic()
     deadline = start + budget.seconds if budget.seconds is not None else None
     if resume is not None:
         if resume.problem != problem:
             raise ValueError("checkpoint is for a different problem")
+        for name, value in resume.settings().items():
+            if value != settings[name]:
+                raise ValueError(
+                    f"checkpoint was written with {name}={value}, "
+                    f"not {settings[name]}"
+                )
         best = list(parse_word(resume.best, problem.k).symbols)
         base_nodes = resume.nodes
     else:
@@ -663,7 +695,8 @@ def frontier_lower_bound(
 
         def save(best, prefix, nodes):
             _write_checkpoint(
-                checkpoint_path, problem, max_nodes, best, prefix, base_nodes + nodes
+                checkpoint_path, problem, max_nodes, best, prefix,
+                base_nodes + nodes, settings,
             )
 
     if strategy == "lex":
@@ -761,7 +794,7 @@ def _frontier_restarts(
     return best, nodes
 
 
-def _write_checkpoint(path, problem, budget_nodes, best, prefix, nodes):
+def _write_checkpoint(path, problem, budget_nodes, best, prefix, nodes, settings):
     cp = Checkpoint(
         problem=problem,
         budget_nodes=budget_nodes,
@@ -769,6 +802,7 @@ def _write_checkpoint(path, problem, budget_nodes, best, prefix, nodes):
         best=format_word(Word(tuple(best), problem.k)),
         prefix=format_word(Word(tuple(prefix), problem.k)),
         nodes=nodes,
+        **settings,
     )
     # write-then-rename: a kill mid-write leaves the previous checkpoint intact
     tmp = f"{os.fspath(path)}.tmp"

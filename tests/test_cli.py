@@ -273,6 +273,22 @@ class TestUsageErrors:
                     "--resume", str(ckpt))
         )
 
+    def test_resume_with_other_frontier_settings(self, tmp_path):
+        # the CLI runs the default settings; this checkpoint has dive_nodes=200
+        from splitrep.search import (
+            ProblemKind, SearchBudget, SearchProblem, frontier_lower_bound,
+        )
+
+        ckpt = tmp_path / "c.ckpt"
+        frontier_lower_bound(
+            SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 2), SearchBudget(nodes=500),
+            dive_nodes=200, checkpoint_path=ckpt,
+        )
+        proc = run_cli("search", "S", "--k", "2", "--t", "2", "--frontier",
+                       "--resume", str(ckpt))
+        self.assert_usage_error(proc)
+        assert "dive_nodes=200" in proc.stderr
+
     def test_seed_with_violation(self):
         self.assert_usage_error(
             run_cli("search", "S", "--k", "2", "--t", "2", "--frontier",

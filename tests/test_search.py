@@ -3,6 +3,8 @@
 import concurrent.futures
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -174,7 +176,8 @@ class TestIndexAgainstReference:
     checks the longest repeated suffix of every prefix against brute force
     and that it bounds every run at the last position, and probes the
     factor lookup in `text` on factors of the current word of every length
-    directly.
+    directly. After every push and pop the capped threat tables are checked
+    against an eager rebuild from the word and its runs.
     """
 
     STEPS = 1000
@@ -187,7 +190,8 @@ class TestIndexAgainstReference:
         rev = kind == "R"
         for convention in GapConvention:
             rng = random.Random(f"{k}-{t}-{kind}-{convention.value}")
-            # draws the subsets apart from rng, so the walks stay the same
+            # draws the subsets and the last descent apart from rng, so the
+            # walks stay the same
             subset_rng = random.Random(f"subsets-{k}-{t}-{kind}-{convention.value}")
             engine = SplitOverlapEngine(k, t, convention, reversed_mode=rev)
             ref = oracles.AllLengthsSplitEngine(
@@ -195,9 +199,13 @@ class TestIndexAgainstReference:
             )
             word = engine.word
             lrs = []  # brute-force longest repeated suffix of each prefix
+            armed = []  # per position: every threat it arms, of any length
+            qtop = 1  # 1 + the longest lrs seen on the walk
+            raised = []  # the word when a push last raised qtop
             copy_from = None
             for _ in range(self.STEPS):
                 assert engine.lrs == lrs, word
+                self._check_threat_tables(engine, armed, qtop)
                 verdicts = [ref.can_extend(a) for a in range(k)]
                 assert [engine.can_extend(a) for a in range(k)] == verdicts, word
                 # tokens come back in the order the letters are given
@@ -216,6 +224,7 @@ class TestIndexAgainstReference:
                         engine.pop()
                         ref.pop()
                         lrs.pop()
+                        armed.pop()
                     copy_from = None
                     continue
                 if copy_from is None and len(word) > 20 and rng.random() < 0.05:
@@ -231,10 +240,32 @@ class TestIndexAgainstReference:
                     lrs.append(oracles.longest_repeated_suffix(word))
                     # a run repeats a suffix: the contiguous check stops there
                     assert max(engine.runs[-1].values(), default=0) <= engine.lrs[-1]
+                    armed.append(self._threats_at_end(engine))
+                    if lrs[-1] + 1 > qtop:
+                        qtop = lrs[-1] + 1
+                        raised = word.copy()
                 else:
                     copy_from = None
                 self._probe_factor_lookup(engine, ref, rng)
             assert engine.word == ref.word
+            if not t:
+                continue  # no threats, and no letter repeats: qtop stays 1
+            # pop below the push that last raised qtop, then descend again
+            # by the same letters: each position now arms every length up
+            # to qtop at once
+            assert raised, (k, t, kind, convention)
+            common = 0
+            while common < min(len(word), len(raised)) and word[common] == raised[common]:
+                common += 1
+            depth = subset_rng.randrange(min(common, len(raised) - 1) + 1)
+            while len(word) > depth:
+                engine.pop()
+                armed.pop()
+                self._check_threat_tables(engine, armed, qtop)
+            for a in raised[depth:]:
+                assert engine.try_push(a), raised
+                armed.append(self._threats_at_end(engine))
+                self._check_threat_tables(engine, armed, qtop)
 
     def test_long_threat_at_minimum_gap(self):
         # the last letter completes x . y . z with |y| = 1 (the least gap the
@@ -265,6 +296,49 @@ class TestIndexAgainstReference:
         assert find_split_t_overlap(parse_word(text[:-1], 2), 3) is None
         v = find_split_t_overlap(parse_word(text, 2), 3)
         assert v.x_span == (6, 10) and v.z_span == (12, 15)
+
+    @staticmethod
+    def _threats_at_end(engine):
+        """(q, value) of every threat the last position arms, of any length:
+        q in [m + t - r, m] for each period m >= t whose run r >= t, the q
+        letters from the end less m (split) or m + t (reversed)."""
+        word = engine.word
+        k = engine.k
+        t = engine.t
+        start0 = len(word) - (t if engine.rev else 0)
+        threats = []
+        for m, r in engine.runs[-1].items():
+            if m >= t and r >= t:
+                for q in range(m + t - r, m + 1):
+                    v = 0
+                    for c in word[start0 - m : start0 - m + q]:
+                        v = v * k + c
+                    threats.append((q, v))
+        return threats
+
+    @staticmethod
+    def _check_threat_tables(engine, armed, qtop):
+        # eager tables: every position's threats, earliest position first;
+        # the engine keeps exactly lengths 1..qtop of them
+        assert engine.qtop == qtop
+        assert not engine.lrs or engine.lrs[-1] + 1 <= qtop
+        want = [{} for _ in range(qtop + 1)]
+        for p, threats in enumerate(armed):
+            for q, v in threats:
+                if q <= qtop:
+                    want[q].setdefault(v, p)
+        assert engine.tdicts == want, engine.word
+        # each threat sits in the trail of the position that owns it, so
+        # pop removes it with that position
+        length = {id(d): q for q, d in enumerate(engine.tdicts)}
+        owned = sorted(
+            (length[id(d)], v, p)
+            for p, trail in enumerate(engine.td_trail)
+            for d, v in trail
+        )
+        assert owned == sorted(
+            (q, v, p) for q, d in enumerate(want) for v, p in d.items()
+        ), engine.word
 
     @staticmethod
     def _probe_factor_lookup(engine, ref, rng):
@@ -597,6 +671,26 @@ class TestDeterminismAcrossWorkers:
         assert a.status is SearchStatus.LOWER_BOUND
 
 
+class TestImport:
+    def test_import_loads_no_process_pool(self):
+        # the pool modules are imported only when a search starts a pool, so
+        # `import splitrep` stays cheap for the CLI and short searches
+        import splitrep
+
+        src = os.path.dirname(os.path.dirname(splitrep.__file__))
+        code = (
+            "import sys, splitrep; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+            " if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestFrontier:
     def test_zero_budget(self):
         problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 6)
@@ -912,6 +1006,30 @@ class TestCheckpoints:
         assert path.read_text() == before
         assert load_checkpoint(path).nodes == 1_000
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+    SETTINGS = {"strategy": "restarts", "rng_seed": 4, "dive_nodes": 200, "tie_swap": 0.3}
+
+    @pytest.mark.parametrize(
+        "name,other",
+        [("strategy", "lex"), ("rng_seed", 5), ("dive_nodes", 201), ("tie_swap", 0.5)],
+    )
+    def test_resume_rejects_other_settings(self, tmp_path, name, other):
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
+        path = tmp_path / "run.ckpt"
+        frontier_lower_bound(
+            problem, SearchBudget(nodes=1_000), checkpoint_path=path, **self.SETTINGS
+        )
+        cp = load_checkpoint(path)
+        assert cp.settings() == self.SETTINGS
+        with pytest.raises(ValueError, match=name):
+            frontier_lower_bound(
+                problem, SearchBudget(nodes=10), resume=cp,
+                **{**self.SETTINGS, name: other},
+            )
+        # "auto" is stored as the strategy it picks, restarts for S
+        settings = {**self.SETTINGS, "strategy": "auto"}
+        out = frontier_lower_bound(problem, SearchBudget(nodes=10), resume=cp, **settings)
+        assert out.nodes_explored == 1_010
 
     def test_resume_rejects_other_problem(self, tmp_path):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
