@@ -1,14 +1,15 @@
 """Command-line interface: analyze words, run searches, evaluate bounds,
 emit constructions, and reproduce the known-value tables.
 
-Exit codes: 0 success (exact results, clean diffs), 2 usage error,
-3 search finished with a lower bound only, 4 table diff mismatch,
-5 internal validation failure.
+Exit codes: 0 success (exact results, clean diffs), 2 usage error (one
+`splitrep: error: ...` line on stderr), 3 search finished with a lower
+bound only, 4 table diff mismatch, 5 internal validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,7 +38,6 @@ from .search import (
 )
 from .words import (
     Word,
-    WordFormatError,
     border_array,
     format_word,
     is_primitive,
@@ -82,29 +82,11 @@ class RunReport:
     version: str = VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "outcome": self.outcome,
-            "status": self.status,
-            "nodes": self.nodes,
-            "elapsed": self.elapsed,
-            "version": self.version,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
-        d = json.loads(text)
-        return RunReport(
-            command=d["command"],
-            params=d["params"],
-            outcome=d["outcome"],
-            status=d["status"],
-            nodes=d["nodes"],
-            elapsed=d["elapsed"],
-            version=d["version"],
-        )
+        return RunReport(**json.loads(text))
 
     def to_text(self) -> str:
         lines = [f"splitrep {self.version}: {self.command}"]
@@ -139,34 +121,25 @@ def _emit(args, report: RunReport) -> None:
         os.close(devnull)
 
 
-def _usage_error(parser, message: str) -> int:
-    """One-line usage error on stderr; the caller returns the exit code."""
-    print(f"{parser.prog}: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _parse_word_arg(parser, text: str, k: int | None) -> Word:
+def _parse_word_arg(text: str, k: int | None) -> Word:
     if text == "":
-        parser.error("empty word")
+        raise ValueError("empty word")
     if k is None:
         try:
             probe = [int(p) for p in (text.split(",") if "," in text else text)]
         except ValueError:
-            parser.error(f"cannot parse word {text!r}")
+            raise ValueError(f"cannot parse word {text!r}") from None
         k = max(probe) + 1
-    try:
-        return parse_word(text, k)
-    except WordFormatError as exc:
-        parser.error(str(exc))
+    return parse_word(text, k)
 
 
-def cmd_analyze(args, parser) -> int:
-    w = _parse_word_arg(parser, args.word, args.k)
+def cmd_analyze(args) -> int:
+    w = _parse_word_arg(args.word, args.k)
     convention = GapConvention(args.convention)
     if args.n is not None and args.n < 1:
-        parser.error("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     if args.t is not None and args.t < 0:
-        parser.error("--t must be >= 0")
+        raise ValueError("--t must be >= 0")
     outcome: dict = {
         "word": format_word(w),
         "length": len(w),
@@ -221,15 +194,15 @@ def _violation_dict(v) -> dict:
     }
 
 
-def _problem_from_args(args, parser) -> SearchProblem:
+def _problem_from_args(args) -> SearchProblem:
     kind = ProblemKind(args.kind)
     if kind is ProblemKind.DISJOINT_FACTORS:
         if args.n is None:
-            parser.error("C searches need --n")
+            raise ValueError("C searches need --n")
         param = args.n
     else:
         if args.t is None:
-            parser.error(f"{kind.value} searches need --t")
+            raise ValueError(f"{kind.value} searches need --t")
         param = args.t
     return SearchProblem(
         kind=kind, k=args.k, param=param,
@@ -237,33 +210,27 @@ def _problem_from_args(args, parser) -> SearchProblem:
     )
 
 
-def cmd_search(args, parser) -> int:
-    try:
-        problem = _problem_from_args(parser=parser, args=args)
-        budget = SearchBudget(
-            nodes=args.budget,
-            seconds=args.seconds,
-            split_depth=args.split_depth,
-            workers=args.threads,
-        )
-    except ValueError as exc:
-        return _usage_error(parser, str(exc))
+def cmd_search(args) -> int:
+    problem = _problem_from_args(args)
+    budget = SearchBudget(
+        nodes=args.budget,
+        seconds=args.seconds,
+        split_depth=args.split_depth,
+        workers=args.threads,
+    )
     start = time.monotonic()
     if args.frontier or args.checkpoint or args.resume:
-        seed = _parse_word_arg(parser, args.seed, problem.k) if args.seed else None
+        seed = _parse_word_arg(args.seed, problem.k) if args.seed else None
         try:
             resume = load_checkpoint(args.resume) if args.resume else None
             outcome = frontier_lower_bound(
                 problem, budget, seed=seed, checkpoint_path=args.checkpoint,
                 resume=resume,
             )
-        except (OSError, ValueError) as exc:
-            return _usage_error(parser, str(exc))
+        except OSError as exc:  # the checkpoint file cannot be read or written
+            raise ValueError(str(exc)) from exc
     else:
-        try:
-            outcome = longest_avoiding(problem, budget)
-        except counting.BudgetExceededError as exc:  # C with k**n over CENSUS_BUDGET
-            return _usage_error(parser, str(exc))
+        outcome = longest_avoiding(problem, budget)
     verified = verify_witness(problem, outcome.witness)
     report = RunReport(
         command="search",
@@ -291,22 +258,19 @@ def cmd_search(args, parser) -> int:
     return EXIT_OK if outcome.status is SearchStatus.EXACT else EXIT_LOWER_BOUND
 
 
-def cmd_bounds(args, parser) -> int:
-    try:
-        if args.family == "C":
-            if args.n is None:
-                parser.error("bounds --family C needs --n")
-            report_data = counting.c_bounds(args.k, args.n)
-            param = args.n
-        else:
-            if args.t is None:
-                parser.error("bounds --family S or R needs --t")
-            report_data = counting.s_upper_bounds(
-                args.k, args.t, c_values=exact_c_values() if args.use_known else None
-            )
-            param = args.t
-    except ValueError as exc:
-        return _usage_error(parser, str(exc))
+def cmd_bounds(args) -> int:
+    if args.family == "C":
+        if args.n is None:
+            raise ValueError("bounds --family C needs --n")
+        report_data = counting.c_bounds(args.k, args.n)
+        param = args.n
+    else:
+        if args.t is None:
+            raise ValueError("bounds --family S or R needs --t")
+        report_data = counting.s_upper_bounds(
+            args.k, args.t, c_values=exact_c_values() if args.use_known else None
+        )
+        param = args.t
     entries = {
         label: f"{rel} {value}"
         for label, (rel, value) in report_data.entries.items()
@@ -326,7 +290,7 @@ def cmd_bounds(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args, parser) -> int:
+def cmd_construct(args) -> int:
     start = time.monotonic()
     try:
         if args.what == "c2":
@@ -356,10 +320,10 @@ def cmd_construct(args, parser) -> int:
                 "expected_length": args.k ** n + n - 1 + (2 if args.special and n == 3 else 0),
                 "window_census": "each window exactly once (validated)",
             }
-        elif args.what == "witness":
+        else:  # witness
             if args.x is None:
-                parser.error("construct witness needs --x")
-            x = _parse_word_arg(parser, args.x, args.k)
+                raise ValueError("construct witness needs --x")
+            x = _parse_word_arg(args.x, args.k)
             w = counting.occurrence_witness(x)
             checks = {
                 "length": len(w),
@@ -367,13 +331,9 @@ def cmd_construct(args, parser) -> int:
                 "cap": counting.max_nondisjoint_cap(x),
                 "no_disjoint_pair_of_x": _no_disjoint_of(w, x),
             }
-        else:  # pragma: no cover - argparse restricts choices
-            parser.error(f"unknown construction {args.what}")
     except debruijn.ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        return _usage_error(parser, str(exc))
     failed = any(v is False for v in checks.values())
     report = RunReport(
         command="construct",
@@ -393,14 +353,11 @@ def _no_disjoint_of(w: Word, x: Word) -> bool:
     return not pos or pos[-1] - pos[0] < len(x)
 
 
-def cmd_table(args, parser) -> int:
+def cmd_table(args) -> int:
     table = {"1": "C", "2": "S", "3": "R"}[args.table]
     cells = [c for c in load_known_cells() if c.table == table]
     budget_nodes = args.budget_per_cell
-    try:
-        budget = SearchBudget(nodes=budget_nodes)
-    except ValueError as exc:
-        return _usage_error(parser, str(exc))
+    budget = SearchBudget(nodes=budget_nodes)
     rows = []
     mismatches = 0
     start = time.monotonic()
@@ -456,8 +413,17 @@ def cmd_table(args, parser) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_TABLE_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on bad input, so that main reports every usage
+    error, argparse's own included; add_subparsers makes its subparsers
+    of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitrep",
         description="Repetition detectors, extremal searches, bounds and "
         "constructions for split overlaps and disjoint factor occurrences.",
@@ -529,8 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except ValueError as exc:  # rejected input: one line, exit code 2
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

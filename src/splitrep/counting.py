@@ -179,18 +179,6 @@ class BoundReport:
     best: object = None
     lemma_per_word_caps: dict[int, int] | None = None
 
-    @property
-    def pigeonhole(self):
-        return self.entries.get("pigeonhole", (None, None))[1]
-
-    @property
-    def theorem_sum_bound(self):
-        return self.entries.get("period-sum", (None, None))[1]
-
-    @property
-    def corollary_bound(self):
-        return self.entries.get("closed-form", (None, None))[1]
-
 
 def c_bounds(k: int, n: int) -> BoundReport:
     """All applicable bounds on C(k, n), with the per-period occurrence caps."""

@@ -16,7 +16,7 @@ from itertools import product
 
 from .words import Word
 
-_WINDOW_BUDGET = 2_000_000  # max k**n windows debruijn_order_n enumerates
+_WINDOW_BUDGET = 2_000_000  # max k**n windows an order-n construction enumerates
 
 
 class ConstructionError(RuntimeError):
@@ -48,9 +48,12 @@ class CyclePartition:
 
 
 def cycle_partition(k: int) -> CyclePartition:
-    """Decompose all triples over Sigma_k into cycles of F."""
+    """Decompose all triples over Sigma_k into cycles of F; refuses more
+    than _WINDOW_BUDGET triples."""
     if k < 1:
         raise ValueError("need k >= 1")
+    if k ** 3 > _WINDOW_BUDGET:
+        raise ValueError(f"{k}**3 triples exceed the budget {_WINDOW_BUDGET}")
     seen: set[tuple[int, int, int]] = set()
     cycles = []
     for start in product(range(k), repeat=3):
@@ -178,7 +181,7 @@ def debruijn_order_n(k: int, n: int) -> Word:
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if k ** n > _WINDOW_BUDGET:
-        raise ValueError("window budget exceeded")
+        raise ValueError(f"{k}**{n} windows exceed the budget {_WINDOW_BUDGET}")
     if k == 1:
         return Word((0,) * n, 1)
     word = [0] * n

@@ -8,15 +8,17 @@ must be nonempty; whether the gap y may be empty is a convention choice
 (see GapConvention). Detectors report the lexicographically least witness
 index tuple (i, j, j', l) so results are deterministic.
 
-Complexity note: the witness-returning detectors enumerate index tuples
+Complexity note: the t-overlap and split detectors enumerate index tuples
 (quartic, with O(1) period tests via a common-extension table) and are
 meant for desk-scale words. The boolean scanners in the search module are
-the fast path for long words.
+the fast path for long words. find_disjoint_pair indexes factor starts and
+takes O(L n log L) on a word of L letters.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .words import Word, occurrences
@@ -188,22 +190,31 @@ def _find_split(
 
 
 def find_disjoint_pair(w: Word, n: int) -> Violation | None:
-    """Least pair of disjoint occurrences of a common length-n factor, or None."""
+    """Least pair of disjoint occurrences of a common length-n factor, or None.
+
+    The starts of each length-n factor are indexed once, in increasing
+    order; for each p1 in turn, the least start p2 >= p1 + n of the same
+    factor is a bisection away, so the first p1 that has one gives the
+    lexicographically least (p1, p2).
+    """
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
     s = w.symbols
-    total = len(s)
-    for p1 in range(total - 2 * n + 1):
-        x = s[p1 : p1 + n]
-        for p2 in range(p1 + n, total - n + 1):
-            if s[p2 : p2 + n] == x:
-                return Violation(
-                    kind=ViolationKind.DISJOINT_PAIR,
-                    t_or_n=n,
-                    x_span=(p1, p1 + n - 1),
-                    z_span=(p2, p2 + n - 1),
-                    repetition=w.factor(p1, p1 + n - 1),
-                )
+    starts: dict[tuple[int, ...], list[int]] = {}
+    for p in range(len(s) - n + 1):
+        starts.setdefault(s[p : p + n], []).append(p)
+    for p1 in range(len(s) - 2 * n + 1):
+        later = starts[s[p1 : p1 + n]]
+        i = bisect_left(later, p1 + n)
+        if i < len(later):
+            p2 = later[i]
+            return Violation(
+                kind=ViolationKind.DISJOINT_PAIR,
+                t_or_n=n,
+                x_span=(p1, p1 + n - 1),
+                z_span=(p2, p2 + n - 1),
+                repetition=w.factor(p1, p1 + n - 1),
+            )
     return None
 
 

@@ -284,7 +284,6 @@ def _dfs(
     best: list[int] | None = None,
     resume: bool = False,
     save=None,
-    every: int = 1,
 ) -> _TaskResult:
     """Depth-first walk below the engine's word, letters in increasing order.
 
@@ -295,7 +294,8 @@ def _dfs(
     outright; otherwise pruning is against the best length found so far.
     When collect_all, the result also lists every maximal-length word
     seen. resume goes on with a walk that has reached the engine's word
-    (see _walk), and save(best, word, nodes) is called every so many nodes.
+    (see _walk), and save(best, word, nodes) is called every
+    CHECKPOINT_EVERY nodes.
     """
     word = engine.word
     if best is None:
@@ -326,7 +326,7 @@ def _dfs(
             return _BACK
         return _DESCEND
 
-    on_node = save and _every(every, lambda nodes: save(best, word, nodes))
+    on_node = save and _every(lambda nodes: save(best, word, nodes))
     nodes, why = _walk(
         engine, visit, max_nodes=max_nodes, deadline=deadline, resume=resume,
         on_node=on_node,
@@ -557,6 +557,7 @@ def verify_witness(problem: SearchProblem, w: Word) -> bool:
 # --- budgeted frontier search with checkpointing ---------------------------
 
 CHECKPOINT_MAGIC = "splitrep-checkpoint-v2"
+CHECKPOINT_EVERY = 1_000_000  # nodes between checkpoint writes within a run
 
 
 @dataclass(frozen=True)
@@ -640,7 +641,6 @@ def frontier_lower_bound(
     dive_nodes: int = 8_000,
     tie_swap: float = 0.3,
     checkpoint_path=None,
-    checkpoint_every: int = 1_000_000,
     resume: Checkpoint | None = None,
 ) -> SearchOutcome:
     """Best-effort longest word within a budget; always a LOWER_BOUND status.
@@ -707,7 +707,7 @@ def frontier_lower_bound(
         # walk the tree in letter order as if the walk had reached prefix
         result = _dfs(
             engine, max_nodes=max_nodes, cap=None, deadline=deadline, best=best,
-            resume=True, save=save, every=checkpoint_every,
+            resume=True, save=save,
         )
         best, nodes = result.best, result.nodes
         # a lex run resumes from the word where it stopped
@@ -718,8 +718,7 @@ def frontier_lower_bound(
         engine = _replay(problem, best)
         rng = random.Random(rng_seed * 1_000_003 + base_nodes)
         best, nodes = _frontier_restarts(
-            engine, best, max_nodes, deadline, save, checkpoint_every,
-            rng, dive_nodes, tie_swap,
+            engine, best, max_nodes, deadline, save, rng, dive_nodes, tie_swap,
         )
         prefix = best
     if save is not None:
@@ -734,14 +733,14 @@ def frontier_lower_bound(
     )
 
 
-def _every(step: int, fn):
-    """An on_node hook that calls fn(nodes) each time step more nodes have
-    been counted since its last call."""
+def _every(fn):
+    """An on_node hook that calls fn(nodes) each time CHECKPOINT_EVERY more
+    nodes have been counted since its last call."""
     last = 0
 
     def on_node(nodes):
         nonlocal last
-        if nodes - last >= step:
+        if nodes - last >= CHECKPOINT_EVERY:
             last = nodes
             fn(nodes)
 
@@ -749,7 +748,7 @@ def _every(step: int, fn):
 
 
 def _frontier_restarts(
-    engine, best, max_nodes, deadline, save, every, rng, dive_nodes, tie_swap
+    engine, best, max_nodes, deadline, save, rng, dive_nodes, tie_swap
 ):
     """Randomized dives below random cuts of the incumbent, deepest-biased.
 
@@ -770,7 +769,7 @@ def _frontier_restarts(
             best = word.copy()
         return _DESCEND
 
-    on_node = save and _every(every, lambda nodes: save(best, best, nodes))
+    on_node = save and _every(lambda nodes: save(best, best, nodes))
     nodes = 0
     stale = 0  # dives since the incumbent last improved; widens the cut window
     while nodes < max_nodes:

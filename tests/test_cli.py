@@ -250,6 +250,17 @@ class TestUsageErrors:
             ["search", "C", "--k", "2", "--n", "30", "--seconds", "1"],
             # the split engine's letters are chr() values
             ["search", "S", "--k", "1114113", "--t", "1"],
+            # 8e9 triples: over the budget of the order-3 cycle partition
+            ["construct", "c3", "--k", "2000"],
+            ["construct", "debruijn", "--k", "2000", "--n", "3", "--special"],
+            # checks in the commands themselves
+            ["search", "C", "--k", "2"],
+            ["analyze", "0120", "--k", "2"],
+            ["bounds", "--family", "C", "--k", "2"],
+            # argparse's own errors
+            ["search", "S", "--t", "1"],
+            ["search", "S", "--k", "x", "--t", "1"],
+            ["search", "S", "--k", "2", "--t", "1", "--k2"],
         ],
     )
     def test_rejected_arguments(self, argv):

@@ -203,9 +203,9 @@ class TestBounds:
 
     def test_c_bounds_report(self):
         report = c_bounds(2, 2)
-        assert report.theorem_sum_bound == 7
-        assert report.pigeonhole == 9
-        assert report.corollary_bound == 14
+        assert report.entries["period-sum"] == ("<=", 7)
+        assert report.entries["pigeonhole"] == ("<=", 9)
+        assert report.entries["closed-form"] == ("<=", 14)
         assert report.best == 7
         assert sum(report.lemma_per_word_caps.values()) == 4
 

@@ -1,5 +1,7 @@
 """Detectors against the named examples and the brute-force oracles."""
 
+import random
+
 import pytest
 
 import oracles
@@ -162,6 +164,24 @@ def test_disjoint_matches_oracle_binary_up_to_12(n):
         assert (got is None) == (want is None), (syms, n)
         if got is not None:
             assert (got.x_span[0], got.z_span[0]) == want, (syms, n)
+
+
+def test_disjoint_matches_oracle_on_long_random_words():
+    # factor lengths around the birthday threshold k**n ~ L**2: some words
+    # have no disjoint pair, others have their least pair far into the word
+    rng = random.Random(5)
+    found = 0
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        syms = tuple(rng.randrange(k) for _ in range(rng.randint(200, 400)))
+        n = rng.randint(1, 40 // k)
+        got = find_disjoint_pair(word(syms, k), n)
+        want = oracles.find_disjoint(syms, n)
+        assert (got is None) == (want is None), (syms, n)
+        if got is not None:
+            assert (got.x_span[0], got.z_span[0]) == want, (syms, n)
+            found += 1
+    assert 0 < found < 60
 
 
 def test_gap_required_convention_differs():

@@ -867,7 +867,7 @@ class TestRestartsRegression:
         witness = "01120120211022011100102110002210220011002221002201"
         part = frontier_lower_bound(
             problem, SearchBudget(nodes=3_000), strategy="restarts", rng_seed=4,
-            dive_nodes=200, checkpoint_path=path, checkpoint_every=1_000,
+            dive_nodes=200, checkpoint_path=path,
         )
         assert (part.nodes_explored, format_word(part.witness)) == (3_000, witness)
         cp = load_checkpoint(path)
@@ -1006,6 +1006,28 @@ class TestCheckpoints:
         assert path.read_text() == before
         assert load_checkpoint(path).nodes == 1_000
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+    @pytest.mark.parametrize("strategy", ["lex", "restarts"])
+    def test_checkpoints_written_during_the_run(self, tmp_path, monkeypatch, strategy):
+        import splitrep.search as search_mod
+
+        written = []
+        write = search_mod._write_checkpoint
+
+        def recorded(path, problem, budget_nodes, best, prefix, nodes, settings):
+            written.append(nodes)
+            write(path, problem, budget_nodes, best, prefix, nodes, settings)
+
+        monkeypatch.setattr(search_mod, "CHECKPOINT_EVERY", 1_000)
+        monkeypatch.setattr(search_mod, "_write_checkpoint", recorded)
+        path = tmp_path / "run.ckpt"
+        frontier_lower_bound(
+            SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3), SearchBudget(nodes=3_500),
+            strategy=strategy, dive_nodes=200, checkpoint_path=path,
+        )
+        # one write each CHECKPOINT_EVERY nodes, then the final one
+        assert written == [1_000, 2_000, 3_000, 3_500]
+        assert load_checkpoint(path).nodes == 3_500
 
     SETTINGS = {"strategy": "restarts", "rng_seed": 4, "dive_nodes": 200, "tie_swap": 0.3}
 
