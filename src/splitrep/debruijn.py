@@ -158,18 +158,34 @@ def debruijn_order3_special(k: int) -> Word:
     if not _window_census_ok(seq, k, 3):
         raise ConstructionError("successor rule did not produce a de Bruijn word")
     linear = seq + seq[:2]
-    text = linear
+    abab, baba, _ = _first_sites(linear)
     for a in range(k):
         for b in range(a + 1, k):
-            ab = [a, b, a, b]
-            ba = [b, a, b, a]
-            if not any(
-                text[i : i + 4] in (ab, ba) for i in range(len(text) - 3)
-            ):
+            if (a, b) not in abab and (a, b) not in baba:
                 raise ConstructionError(
                     f"de Bruijn word lacks {a}{b}{a}{b} and {b}{a}{b}{a}"
                 )
     return Word(tuple(linear), k)
+
+
+def _first_sites(symbols: list[int]):
+    """One scan of symbols: the first start of abab and of baba for each
+    pair a < b, both keyed (a, b), and of aaa for each letter a."""
+    abab: dict[tuple[int, int], int] = {}
+    baba: dict[tuple[int, int], int] = {}
+    aaa: dict[int, int] = {}
+    last = len(symbols) - 4
+    for i, (x, y, z) in enumerate(zip(symbols, symbols[1:], symbols[2:])):
+        if x != z:
+            continue
+        if x == y:
+            aaa.setdefault(x, i)
+        elif i <= last and symbols[i + 3] == y:
+            if x < y:
+                abab.setdefault((x, y), i)
+            else:
+                baba.setdefault((y, x), i)
+    return abab, baba, aaa
 
 
 def debruijn_order_n(k: int, n: int) -> Word:
@@ -231,36 +247,42 @@ def construct_c3_lower(k: int) -> Word:
     """Length k^3+k^2+k+2 word with no two disjoint occurrences of a length-3 factor.
 
     Start from the special order-3 de Bruijn word; for each pair a < b
-    insert ab after the abab occurrence (or ba after baba), then insert aa
-    after each aaa. Positions are re-found after every insertion. The
-    disjointness property itself is validated by the caller-facing checks
-    in the search/detect layers; here only structural failures raise.
+    insert ab after the first abab (or ba after the first baba), then
+    insert aa after the first aaa, each looked up in the word as it stands.
+    An insertion repeats the two letters before it, so it lengthens a run of
+    period 2 (or 1): every window of the word keeps its content and its
+    order, and the only new windows are alternations of a and b (or aaa),
+    which no later step looks for. So every site is that step's pattern's
+    first occurrence in the de Bruijn word, and one scan finds them all.
+    No two sites share a cut: the patterns of different steps end in
+    different pairs of letters. The disjointness property itself is validated by the
+    caller-facing checks in the search/detect layers; here only structural
+    failures raise.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    out = list(debruijn_order3_special(k).symbols)
-
-    def find(pat):
-        for i in range(len(out) - len(pat) + 1):
-            if out[i : i + len(pat)] == pat:
-                return i
-        return -1
-
+    base = list(debruijn_order3_special(k).symbols)
+    abab, baba, aaa = _first_sites(base)
+    inserts = {}  # cut in base -> the two letters inserted there
     for a in range(k):
         for b in range(a + 1, k):
-            pos = find([a, b, a, b])
-            if pos >= 0:
-                out[pos + 4 : pos + 4] = [a, b]
-                continue
-            pos = find([b, a, b, a])
-            if pos < 0:
+            if (a, b) in abab:
+                inserts[abab[a, b] + 4] = (a, b)
+            elif (a, b) in baba:
+                inserts[baba[a, b] + 4] = (b, a)
+            else:
                 raise ConstructionError(f"no {a}{b}-alternation found for insertion")
-            out[pos + 4 : pos + 4] = [b, a]
     for a in range(k):
-        pos = find([a, a, a])
-        if pos < 0:
+        if a not in aaa:
             raise ConstructionError(f"no {a}{a}{a} occurrence found for insertion")
-        out[pos + 3 : pos + 3] = [a, a]
+        inserts[aaa[a] + 3] = (a, a)
+    out: list[int] = []
+    done = 0
+    for cut in sorted(inserts):
+        out += base[done:cut]
+        out += inserts[cut]
+        done = cut
+    out += base[done:]
     w = Word(tuple(out), k)
     if len(w) != k ** 3 + k * k + k + 2:
         raise ConstructionError("order-3 construction has wrong length")

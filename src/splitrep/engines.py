@@ -22,6 +22,14 @@ A depth-first search drives an engine with three calls per node:
     that node, including after pushes below it have been popped.
   * pop() undoes the last append.
 
+The split engine's verdicts are a function of its word alone, so its tokens
+stay valid whenever the engine is back at the word they were made for, by
+any path; search's restarts frontier caches them by word. The threat tables
+depend on history through qtop (see below), but a probe reaches only lengths
+q <= lrs + 1 <= qtop, where the tables are those of the word itself. A token
+(a run row) is never changed once made: commit stores that same dict in
+runs, and nothing writes to a stored row.
+
 can_extend (pure check) and try_push (check and commit) do the same for a
 single letter; both engines share one definition of each.
 

@@ -16,7 +16,11 @@ after every accepted letter:
   from a checkpointed prefix;
 - _enumerate_prefixes records the words of the split depth;
 - the restarts frontier dives below random cuts of the incumbent,
-  letters shuffled.
+  letters shuffled. Its dives and replays come back to words they have
+  checked, so on a split kind the run files each word's verdict tokens
+  under the word, in an LRU of at most _MEMO_WORDS (1024) words, and a
+  return reuses them; a split engine's verdicts depend on the word alone
+  (see engines). The cache moves no node count, reach or witness.
 
 Determinism: letters are tried in increasing order, so the first word
 found at any length is the lexicographically least; node budgets are
@@ -35,6 +39,7 @@ import enum
 import os
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import counting
@@ -54,6 +59,9 @@ _VERIFY_BRUTE_FORCE_LIMIT = 100
 
 _TARGET_TASKS = 48
 _MAX_SPLIT_DEPTH = 12
+
+# words whose verdict tokens a restarts run keeps, least recently used dropped
+_MEMO_WORDS = 1024
 
 
 class ProblemKind(enum.Enum):
@@ -188,6 +196,7 @@ def _walk(
     order=None,
     resume: bool = False,
     on_node=None,
+    memo=None,
 ) -> tuple[int, str]:
     """The depth-first walk below the engine's word that every search runs.
 
@@ -205,7 +214,9 @@ def _walk(
     deadline is tested every 4096 nodes of the caller's running count,
     clock + nodes, which on_node also receives before each node is tried.
     After each accepted letter, visit() returns _DESCEND, _BACK (undo the
-    letter) or _STOP.
+    letter) or _STOP. memo, a split engine's verdict cache (see
+    _frontier_restarts), supplies a frame's tokens when its word is filed
+    there and files them when it is not.
 
     Returns the nodes tried and why the walk ended: "exhausted", "budget",
     "deadline" or "stopped". The engine is left where the walk ended.
@@ -227,10 +238,21 @@ def _walk(
         letters, tokens, i, count = frame
         if letters is None:
             letters = range(count)
+            if memo is None:
+                tokens = verdicts(letters)
+            else:
+                key = engine.text
+                tokens = memo.get(key)
+                if tokens is None:
+                    if len(memo) >= _MEMO_WORDS:
+                        memo.popitem(last=False)
+                    tokens = memo[key] = verdicts(letters)
+                else:
+                    memo.move_to_end(key)
             if order is not None:
                 letters = list(letters)
                 order(letters)
-            tokens = verdicts(letters)
+                tokens = [tokens[a] for a in letters]
             frame[0], frame[1] = letters, tokens
         if i >= len(letters):
             frames.pop()
@@ -340,10 +362,11 @@ def _replay(problem: SearchProblem, prefix: list[int]):
     return engine
 
 
-def _move_to(engine, target: list[int]) -> None:
+def _move_to(engine, target: list[int], memo=None) -> None:
     """Pop the engine back to its longest common prefix with target, then
     push the rest of target: the engine _replay(target) builds, without
-    redoing the shared prefix."""
+    redoing the shared prefix. A push whose word is filed in memo commits
+    the filed token instead of checking again."""
     word = engine.word
     common = 0
     for a, b in zip(word, target):
@@ -353,8 +376,15 @@ def _move_to(engine, target: list[int]) -> None:
     while len(word) > common:
         engine.pop()
     for a in target[common:]:
-        if not engine.try_push(a):
-            raise ValueError(f"prefix is not violation-free: {target}")
+        tokens = None if memo is None else memo.get(engine.text)
+        if tokens is None or a >= len(tokens):  # a seed need not be canonical
+            if engine.try_push(a):
+                continue
+        elif tokens[a] is not None:
+            memo.move_to_end(engine.text)
+            engine.commit(a, tokens[a])
+            continue
+        raise ValueError(f"prefix is not violation-free: {target}")
 
 
 def _enumerate_prefixes(
@@ -655,7 +685,9 @@ def frontier_lower_bound(
     invocation; a resumed run gets a fresh budget while nodes_explored
     accumulates across runs. A checkpoint records the strategy, rng_seed,
     dive_nodes and tie_swap, and a resume with other values raises
-    ValueError.
+    ValueError. A resumed restarts run seeds its RNG from rng_seed and the
+    nodes already counted, so it is deterministic but does not repeat the
+    dives of a run that was never stopped.
     """
     if strategy == "auto":
         strategy = (
@@ -770,6 +802,10 @@ def _frontier_restarts(
         return _DESCEND
 
     on_node = save and _every(lambda nodes: save(best, best, nodes))
+    # the verdict cache, keyed by the split engine's text (see the module
+    # docstring). The disjoint-factor engine's verdicts cost one dict lookup
+    # per letter, no more than a cache lookup, so its runs are not cached
+    memo = OrderedDict() if isinstance(engine, SplitOverlapEngine) else None
     nodes = 0
     stale = 0  # dives since the incumbent last improved; widens the cut window
     while nodes < max_nodes:
@@ -780,11 +816,12 @@ def _frontier_restarts(
             cut = len(best) - rng.randrange(1, min(len(best), window) + 1)
         else:
             cut = rng.randrange(0, len(best) + 1)
-        _move_to(engine, best[:cut])
+        _move_to(engine, best[:cut], memo)
         improved = False
         dive, why = _walk(
             engine, visit, max_nodes=min(dive_nodes, max_nodes - nodes),
             deadline=deadline, clock=nodes, order=rng.shuffle, on_node=on_node,
+            memo=memo,
         )
         nodes += dive
         if why == "deadline":

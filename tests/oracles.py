@@ -6,7 +6,9 @@ these can serve as oracles for it. The one exception to "directly from the
 definitions" is AllLengthsSplitEngine at the end: an incremental engine
 that indexes factors of every length, the reference for the package's
 short-table-plus-occurrence-list index on words far too long for brute
-force.
+force. The order-3 constructions at the end are the other: the package's
+first versions, which re-scan the word for every pattern, kept to check
+that the one-scan versions build the same words.
 """
 
 from itertools import product
@@ -378,3 +380,66 @@ class AllLengthsSplitEngine:
                 active[q] = c
             else:
                 del active[q]
+
+
+def debruijn_order3_special(k):
+    """The special order-3 de Bruijn word, scanning the whole word once per
+    pair a < b for abab or baba. Returns the symbols as a list."""
+    from splitrep.debruijn import ConstructionError, SuccessorRule, _window_census_ok
+
+    if k < 2:
+        raise ValueError("need k >= 2")
+    rule = SuccessorRule(k)
+    seq = [0, 0, 0]
+    for _ in range(k ** 3 - 3):
+        seq.append(rule.next_symbol(seq[-3], seq[-2], seq[-1]))
+    if not _window_census_ok(seq, k, 3):
+        raise ConstructionError("successor rule did not produce a de Bruijn word")
+    linear = seq + seq[:2]
+    for a in range(k):
+        for b in range(a + 1, k):
+            ab = [a, b, a, b]
+            ba = [b, a, b, a]
+            if not any(
+                linear[i : i + 4] in (ab, ba) for i in range(len(linear) - 3)
+            ):
+                raise ConstructionError(
+                    f"de Bruijn word lacks {a}{b}{a}{b} and {b}{a}{b}{a}"
+                )
+    return linear
+
+
+def construct_c3_lower(k):
+    """The C(k,3) word, inserting ab after the first abab (or ba after the
+    first baba) for each pair a < b, then aa after each aaa, each site
+    re-found in the word as it stands. Returns the symbols as a list."""
+    from splitrep.debruijn import ConstructionError
+
+    if k < 2:
+        raise ValueError("need k >= 2")
+    out = debruijn_order3_special(k)
+
+    def find(pat):
+        for i in range(len(out) - len(pat) + 1):
+            if out[i : i + len(pat)] == pat:
+                return i
+        return -1
+
+    for a in range(k):
+        for b in range(a + 1, k):
+            pos = find([a, b, a, b])
+            if pos >= 0:
+                out[pos + 4 : pos + 4] = [a, b]
+                continue
+            pos = find([b, a, b, a])
+            if pos < 0:
+                raise ConstructionError(f"no {a}{b}-alternation found for insertion")
+            out[pos + 4 : pos + 4] = [b, a]
+    for a in range(k):
+        pos = find([a, a, a])
+        if pos < 0:
+            raise ConstructionError(f"no {a}{a}{a} occurrence found for insertion")
+        out[pos + 3 : pos + 3] = [a, a]
+    if len(out) != k ** 3 + k * k + k + 2:
+        raise ConstructionError("order-3 construction has wrong length")
+    return out

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import oracles
 from splitrep.counting import theorem_sum_bound
 from splitrep.debruijn import (
     CyclePartition,
@@ -145,6 +146,15 @@ class TestConstructions:
     def test_constructions_meet_period_sum_bound(self, k):
         assert len(construct_c2_lower(k)) == theorem_sum_bound(k, 2)
         assert len(construct_c3_lower(k)) == theorem_sum_bound(k, 3)
+
+    def test_order3_words_equal_the_rescanning_versions(self):
+        # the sites come from one scan of the de Bruijn word; the oracle
+        # re-finds each one in the word as it stands after every insertion
+        for k in range(2, 17):
+            special = debruijn_order3_special(k)
+            assert list(special.symbols) == oracles.debruijn_order3_special(k), k
+            c3 = construct_c3_lower(k)
+            assert list(c3.symbols) == oracles.construct_c3_lower(k), k
 
     def test_c2_binary_is_known_extremal_word(self):
         assert str(construct_c2_lower(2)) == "0001110"

@@ -267,6 +267,62 @@ class TestIndexAgainstReference:
                 armed.append(self._threats_at_end(engine))
                 self._check_threat_tables(engine, armed, qtop)
 
+    @pytest.mark.parametrize("kind", ["S", "R"])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_verdicts_depend_on_the_word_alone(self, k, t, kind):
+        # the restarts frontier reuses a word's tokens whenever it comes back
+        # to the word. Random walks, as above, keep each word's first tokens
+        # and compare them with fresh ones on every later visit. Half the
+        # backtracks then head back, letter by letter, to a prefix of a word
+        # whose push raised qtop, as a dive below a cut incumbent does, so
+        # that many visits come after qtop has grown
+        engine = SplitOverlapEngine(k, t, reversed_mode=kind == "R")
+        word = engine.word
+        rng = random.Random(f"word-alone-{k}-{t}-{kind}")
+        first = {}  # text -> (tokens, qtop when they were made)
+        raised = []  # the words whose push raised qtop
+        pending = []  # letters still to push on the way back, last first
+        after_raise = 0
+        copy_from = None
+        for _ in range(3000):
+            tokens = engine.verdicts(range(min(max(word, default=-1) + 2, k)))
+            if engine.text in first:
+                kept, qtop = first[engine.text]
+                assert tokens == kept, word
+                after_raise += engine.qtop > qtop
+            else:
+                first[engine.text] = tokens, engine.qtop
+            live = [a for a, tok in enumerate(tokens) if tok is not None]
+            if pending:
+                a = pending.pop()
+                assert a in live, word
+            elif not live or len(word) >= 120 or (word and rng.random() < 0.03):
+                for _ in range(rng.randrange(1, len(word) + 1)):
+                    engine.pop()
+                if raised and rng.random() < 0.5:
+                    target = rng.choice(raised)
+                    target = target[: rng.randrange(len(target) + 1)]
+                    while word != target[: len(word)]:
+                        engine.pop()
+                    pending = target[len(word) :][::-1]
+                copy_from = None
+                continue
+            else:
+                if copy_from is None and len(word) > 20 and rng.random() < 0.05:
+                    copy_from = rng.randrange(len(word) - 1)
+                a = rng.choice(live)
+                if copy_from is not None and word[copy_from] in live:
+                    a = word[copy_from]
+                    copy_from += 1
+                else:
+                    copy_from = None
+            qtop = engine.qtop
+            engine.commit(a, tokens[a])
+            if engine.qtop > qtop:
+                raised.append(word.copy())
+        assert after_raise > 0
+
     def test_long_threat_at_minimum_gap(self):
         # the last letter completes x . y . z with |y| = 1 (the least gap the
         # convention allows) and a 14-letter z: x pins the period block, so
@@ -817,10 +873,22 @@ class TestFrontier:
         ]
 
 
+@pytest.fixture(params=[None, 1, 8], ids=["memo-default", "memo-1", "memo-8"])
+def memo_words(request, monkeypatch):
+    """Run a restarts pin at the default verdict-cache bound and at bounds
+    of 1 and 8 words, which drop filed words all the time: the cache must
+    not move the search path at any size."""
+    import splitrep.search as search_mod
+
+    if request.param is not None:
+        monkeypatch.setattr(search_mod, "_MEMO_WORDS", request.param)
+
+
 class TestRestartsRegression:
     """Pinned outcomes of the restarts strategy, recorded with an engine
-    rebuilt from scratch for every dive: keeping one live engine across
-    dives must not move the search path, hence nodes, reach and witness."""
+    rebuilt from scratch for every dive and no verdict cache: keeping one
+    live engine across dives, and reusing a word's verdicts, must not move
+    the search path, hence nodes, reach and witness."""
 
     @pytest.mark.parametrize(
         "kind,k,t,start,tie_swap,max_length,witness",
@@ -848,9 +916,18 @@ class TestRestartsRegression:
                 63,
                 "001101011010010010000111110000011100000011001001111110010001100",
             ),
+            # a start word that is not canonical: replaying it takes letters
+            # beyond those filed for its prefixes
+            (
+                "S", 3, 2, "2120", 0.3, 73,
+                "2110012211102221101202112000120221002122011021200221012200112"
+                "202110022101",
+            ),
         ],
     )
-    def test_pinned_outcome(self, kind, k, t, start, tie_swap, max_length, witness):
+    def test_pinned_outcome(
+        self, kind, k, t, start, tie_swap, max_length, witness, memo_words
+    ):
         problem = SearchProblem(ProblemKind(kind), k, t)
         out = frontier_lower_bound(
             problem, SearchBudget(nodes=6_000), seed=parse_word(start, k),
@@ -861,7 +938,63 @@ class TestRestartsRegression:
         assert format_word(out.witness) == witness
         assert verify_witness(problem, out.witness)
 
-    def test_pinned_checkpoint_and_resume(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind,k,t,convention,nodes,rng_seed,dive_nodes,max_length,witness",
+        [
+            # from the empty word at the default dive_nodes
+            (
+                "R", 2, 4, "empty-ok", 20_000, 1, 8_000, 54,
+                "001101011010001001100011100000111111100001111000000111",
+            ),
+            (
+                "S", 3, 2, "empty-ok", 20_000, 1, 8_000, 56,
+                "00112222102011100021012011001210112001211020011210021102",
+            ),
+            (
+                "S", 3, 2, "gap-required", 6_000, 7, 200, 52,
+                "0111120220100221000222120210022120012010212001022120",
+            ),
+            # the disjoint-factor engine runs restarts uncached
+            (
+                "C", 2, 5, "empty-ok", 6_000, 3, 200, 55,
+                "0110100011111111101110111000001001001010101011001100110",
+            ),
+        ],
+    )
+    def test_pinned_from_empty_word(
+        self, kind, k, t, convention, nodes, rng_seed, dive_nodes, max_length,
+        witness, memo_words,
+    ):
+        problem = SearchProblem(ProblemKind(kind), k, t, GapConvention(convention))
+        out = frontier_lower_bound(
+            problem, SearchBudget(nodes=nodes), strategy="restarts",
+            rng_seed=rng_seed, dive_nodes=dive_nodes,
+        )
+        assert out.nodes_explored == nodes
+        assert out.max_length == max_length
+        assert format_word(out.witness) == witness
+        assert verify_witness(problem, out.witness)
+
+    @pytest.mark.parametrize("bound", [1, 8])
+    def test_verdict_cache_stays_within_its_bound(self, monkeypatch, bound):
+        import splitrep.search as search_mod
+
+        class Recorded(search_mod.OrderedDict):
+            sizes = []
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.sizes.append(len(self))
+
+        monkeypatch.setattr(search_mod, "_MEMO_WORDS", bound)
+        monkeypatch.setattr(search_mod, "OrderedDict", Recorded)
+        frontier_lower_bound(
+            SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2), SearchBudget(nodes=3_000),
+            strategy="restarts", rng_seed=4, dive_nodes=200,
+        )
+        assert max(Recorded.sizes) == bound
+
+    def test_pinned_checkpoint_and_resume(self, tmp_path, memo_words):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2)
         path = tmp_path / "s32.ckpt"
         witness = "01120120211022011100102110002210220011002221002201"
