@@ -218,8 +218,18 @@ def cmd_search(args) -> int:
         split_depth=args.split_depth,
         workers=args.threads,
     )
+    frontier = args.frontier or args.checkpoint or args.resume
+    # options the chosen mode would ignore are errors, not silent no-ops
+    if args.seed is not None and not frontier:
+        raise ValueError("--seed is a frontier start word: it needs --frontier")
+    if args.seed is not None and args.resume:
+        raise ValueError("--seed cannot go with --resume: the checkpoint has the word")
+    if frontier and args.split_depth is not None:
+        raise ValueError("frontier mode runs one task: drop --split-depth")
+    if frontier and args.threads != 1:
+        raise ValueError("frontier mode runs on one worker: --threads must be 1")
     start = time.monotonic()
-    if args.frontier or args.checkpoint or args.resume:
+    if frontier:
         seed = _parse_word_arg(args.seed, problem.k) if args.seed else None
         try:
             resume = load_checkpoint(args.resume) if args.resume else None
@@ -452,12 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="node budget per task")
     p.add_argument("--seconds", type=float, default=None)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per task; any count "
-                   "gives the same result")
-    p.add_argument("--split-depth", type=int, default=None)
+                   help="worker processes for the exact search, at most one "
+                   "per task; any count gives the same result")
+    p.add_argument("--split-depth", type=int, default=None,
+                   help="task split depth for the exact search")
     p.add_argument("--frontier", action="store_true",
-                   help="budgeted lower-bound mode (single task)")
-    p.add_argument("--seed", default=None, help="start word for frontier mode")
+                   help="budgeted lower-bound mode (single task, one worker)")
+    p.add_argument("--seed", default=None,
+                   help="start word for frontier mode; not with --resume")
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     p.add_argument("--resume", default=None, help="resume from checkpoint file")
     p.add_argument("--convention", choices=[c.value for c in GapConvention],

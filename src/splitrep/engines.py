@@ -14,7 +14,7 @@ A depth-first search drives an engine with three calls per node:
     for the disjoint-factor engine the rolling value of its last n letters,
     the length-n factor it completes). Each check is made once per node,
     not once per letter: the threat lookups and, in the split engine, the
-    contiguous and pinned-split checks, which each make one pass over the
+    contiguous and pinned-split checks, which share one pass over the
     periods (a period concerns a single letter). Tokens are built only for
     the letters that pass.
   * commit(a, token) appends a with the token verdicts() gave it at this
@@ -53,27 +53,30 @@ How each engine finds earlier factors:
     length-q threat whose value is theirs times k plus a.
 
 A push also records lrs, the length of the longest suffix that ended
-earlier too, found with text.find from one more than the previous lrs
-down. A factor longer than the lrs of its end has no earlier occurrence,
-so the check looks up only pinned pieces no longer than that, and since
-every run is a repeated suffix, lrs also caps the periods worth visiting.
-lrs stays small on long violation-free words (at most 14 on a 134-letter
-R(2,4) word), so the number of lookups does not grow with depth; each is
-one scan of text in C. A split x.z whose later piece is longer than one
-period pins x, so it is looked up from the suffix at check time and is
-not armed as a threat.
+earlier too. It is read off the new run row, not found with text.find: an
+earlier occurrence of a suffix ending m letters back gives a run of period
+m at least as long, so lrs is the longest run in the row (0 for an empty
+row: a t = 0 word repeats no letter). A factor longer than the lrs of its
+end has no earlier occurrence, so the check looks up only pinned pieces no
+longer than that, and since every run is a repeated suffix, lrs also caps
+the periods worth visiting. lrs stays small on long violation-free words
+(at most 14 on a 134-letter R(2,4) word), so the number of lookups does
+not grow with depth; each is one scan of text in C.
+A split x.z whose later piece is longer than one period pins x, so it is
+looked up from the suffix at check time and is not armed as a threat.
 
 A length-q threat is probed only when q <= lrs + 1, so the engine arms only
 lengths up to qtop, 1 + the longest lrs it has recorded, where the runs of
 a long word would arm lengths up to one period. qtop starts at 1 and never
 falls: a push whose lrs reaches qtop raises it by one and arms the new
-length at every earlier position in one scan of their runs, earliest first,
-each threat in the trail of the position that owns it. The tables are thus
-those that arming every length would keep, cut at qtop, and pop needs no
-special case. On the stored 134-letter R(2,4) word qtop is 15 and the
-tables hold 158 threats, against 1,221 with every length armed. What still
-grows with depth in Python is building the accepted letter's row: one
-entry per earlier occurrence of the letter, about L/k, which commit keeps.
+length at every earlier position, earliest first, each threat in the trail
+of the position that owns it. One routine, _arm, arms a position's threats
+for a push and for a raise alike. The tables are thus those that arming
+every length would keep, cut at qtop, and pop needs no special case. On
+the stored 134-letter R(2,4) word qtop is 15 and the tables hold 158
+threats, against 1,221 with every length armed. What still grows with
+depth in Python is building the accepted letter's row: one entry per
+earlier occurrence of the letter, about L/k, which commit keeps.
 """
 
 from __future__ import annotations
@@ -266,10 +269,10 @@ class SplitOverlapEngine:
     def verdicts(self, letters: Sequence[int]) -> list[dict[int, int] | None]:
         """For each letter, None if appending it creates a violation, else
         its run row (period m -> run length at the new position), the token
-        commit() takes. The threats, the contiguous t-overlaps and the
-        splits pinned by the suffix (_bar_pinned) are each checked once per
-        node; the last two visit periods, as period m concerns only the
-        letter word[L - m]. Rows are built for the letters that pass."""
+        commit() takes. The threats are checked once per node, and the
+        contiguous t-overlaps and the splits pinned by the suffix in one pass
+        over the periods (_bar_pinned), as period m concerns only the letter
+        word[L - m]. Rows are built for the letters that pass."""
         pos = self.pos
         t = self.t
         word = self.word
@@ -296,20 +299,11 @@ class SplitOverlapEngine:
                     e = d.get(u + a)
                     if e is not None and e <= lim:
                         live.discard(a)
-        # contiguous t-overlap: the run of period m >= t reaches m + t letters.
-        # A run r at L - 1 repeats a suffix, so m + t <= r + 1 <= lrs[L - 1] + 1
-        prev = self.runs[-1]
-        mtop = self.lrs[-1] + 1 - t
-        for m, r in prev.items():
-            if m > mtop:
-                break  # so are all longer periods
-            if r + 1 >= m + t and m >= t:
-                live.discard(word[L - m])
         if live:
             self._bar_pinned(live)
         # each earlier position p of a letter starts a run of period L - p,
         # which extends the run of that period at L - 1; periods ascending
-        prevget = prev.get
+        prevget = self.runs[-1].get
         rows = {
             a: {L - p: prevget(L - p, 0) + 1 for p in reversed(pos[a])}
             for a in live
@@ -317,25 +311,31 @@ class SplitOverlapEngine:
         return [rows.get(a) for a in letters]
 
     def _bar_pinned(self, live: set[int]) -> None:
-        """Discard from live every letter whose append completes a split
-        pinned by the suffix (t >= 1). One pass visits the periods m
-        ascending; period m concerns only the letter word[L - m], whose run
-        there is r = runs[L - 1].get(m, 0) + 1. It skips the letters no
-        longer live and stops once none is.
+        """Discard from live every letter whose append completes a contiguous
+        t-overlap or a split pinned by the suffix (t >= 1). One pass visits
+        the periods m ascending; period m concerns only the letter
+        word[L - m], whose run there is r = runs[L - 1].get(m, 0) + 1. It
+        skips the letters no longer live and stops once none is.
+
+        Contiguous: the run of period m >= t reaches m + t letters. A run at
+        the new position is a repeated suffix (r - 1 <= lrs[L - 1]), so only
+        periods m <= lrs[L - 1] + 1 - t can complete one. A letter barred
+        this way needs no pinned lookup.
 
         Each pinned x is looked up only if it can have occurred before: a
         factor with a known end p that is longer than lrs[p] has no earlier
         occurrence, and every lookup bound lies below its p. Since
         lrs[p] <= lrs[p - 1] + 1, e + lrs[p - e] never decreases as e grows,
         so the loops below run from the longest offset down and stop at the
-        first x too long to repeat. A run at the new position is a repeated
-        suffix too (r - 1 <= lrs[L - 1]), which caps the offsets, and with
-        them the periods worth visiting, before the pass starts; the caps
-        depend on the node alone.
+        first x too long to repeat. The same bound on r caps the offsets,
+        and with them the periods worth looking up (scap, ccap, rcap),
+        before the pass starts; the caps depend on the node alone.
 
         A lookup is text.find(x, 0, end) >= 0: x occurs ending before end.
-        Periods above mfit are never visited, which keeps every end at
-        least len(x) > 0; a negative end would count from the back.
+        The caps are at most mfit, which keeps every end at least
+        len(x) > 0; a negative end would count from the back. The contiguous
+        check needs no lookup, so the pass can go above mfit: under
+        GAP_REQUIRED with t = 1, 0101 bars 0 only at m = 2, above mfit = 1.
         """
         word = self.word
         L = len(word)
@@ -368,11 +368,16 @@ class SplitOverlapEngine:
             htop = lrs1 - t if lrs1 - t > 1 else 1
             rcap = min(htop + lrs[L - htop], mfit)
         prevget = self.runs[-1].get
-        for m in range(t, max(scap, ccap, rcap) + 1):
+        for m in range(t, max(scap, ccap, rcap, lrs1 - t) + 1):
+            if not live:
+                return
             a = word[L - m]
             if a not in live:
                 continue
             r = prevget(m, 0) + 1
+            if r >= m + t:
+                live.discard(a)  # a contiguous t-overlap
+                continue
             if m <= scap and r >= t:
                 start = ell - m - t
                 for g in range(r - t, -1, -1):
@@ -402,82 +407,70 @@ class SplitOverlapEngine:
                     if find(x, 0, zstart - mg) >= 0:
                         live.discard(a)
                         break
-            if not live:
-                return
 
     can_extend = _can_extend
     try_push = _try_push
 
     def commit(self, a: int, row: dict[int, int]) -> None:
         """Append a with the row verdicts() gave it at the current node; no check."""
-        word = self.word
-        L = len(word)
-        ell = L + 1
+        L = len(self.word)
+        self.word.append(a)
+        self.text += chr(a)
+        self.pos[a].append(L)
+        self.runs.append(row)
+        pref = self.pref
+        pref.append(pref[L] * self.k + a)
+        # the longest run is the longest repeated suffix (module docstring)
+        q = max(row.values(), default=0)
+        self.lrs.append(q)
+        self.td_trail.append([])
+        if q == self.qtop:
+            # probes can now reach length q + 1: arm it at every earlier
+            # position, earliest first, so that the table is the one pushing
+            # each with this qtop would have armed
+            qtop = self.qtop = q + 1
+            self.powk.append(self.powk[-1] * self.k)
+            self.tdicts.append({})
+            for p in range(L):
+                self._arm(p, qtop, qtop)
+        self._arm(L, 1, self.qtop)
+
+    def _arm(self, p: int, lo: int, hi: int) -> None:
+        """Arm the threats of lengths lo..hi that position p owns: each goes
+        into the table of its length unless an earlier position holds it,
+        and into td_trail[p], so that pop undoes it with p.
+
+        A run r of period m >= t fits in the word (r <= p - m + 1) and stops
+        short of a t-overlap (r <= m + t - 1); with t = 0 the row is empty.
+        Each threat is the q letters from start, q in [m + t - r, m], all in
+        the word. Split: x = P.P[:c] ending at p arms (P.P[:t])[c:], the next
+        q = m + t - c letters of the run, from p + 1 - m; only c >= t, since
+        a shorter x is pinned by its z and looked up at the suffix. Reversed:
+        x = Q[q:].Q ending at p arms Q[:q], from p + 1 - m - t. A run at p
+        repeats a suffix (r <= lrs[p]), so m + t - r <= hi needs
+        m <= hi + lrs[p] - t.
+        """
         t = self.t
         pref = self.pref
         powk = self.powk
-        word.append(a)
-        text = self.text = self.text + chr(a)
-        self.pos[a].append(L)
-        self.runs.append(row)
-        pref.append(pref[L] * self.k + a)
-        # the longest repeated suffix is at most one letter longer than the
-        # previous one; longest first, it must occur inside text[:L]
-        lrs = self.lrs
-        q = lrs[-1] + 1 if L else 0
-        while q and text.find(text[ell - q :], 0, L) < 0:
-            q -= 1
-        lrs.append(q)
-        ttrail: list[tuple[dict[int, int], int]] = []  # each new threat
-        # a run r of period m >= t fits in the word (r <= L - m + 1) and
-        # stops short of a t-overlap (r <= m + t - 1); with t = 0 the row
-        # is empty. Each threat is the q letters from start, q in
-        # [m + t - r, m], all in the word. Split: x = P.P[:c] ending here
-        # arms (P.P[:t])[c:], the next q = m + t - c letters of the run,
-        # from ell - m; only c >= t, since a shorter x is pinned by its z
-        # and looked up at the suffix. Reversed: x = Q[q:].Q ending here
-        # arms Q[:q], from ell - m - t. Only q <= qtop is armed
         tdicts = self.tdicts
-        off = t if self.rev else 0
-        qtop = self.qtop
-        if q == qtop:
-            # probes can now reach length q + 1: arm it at every earlier
-            # position p, earliest first and in p's trail, so that the table
-            # is the one pushing p with this qtop would have armed and pop
-            # undoes it with p. A run at p repeats a suffix (r <= lrs[p]),
-            # so m + t - r <= qtop <= m needs m <= qtop + lrs[p] - t
-            qtop = self.qtop = q + 1
-            pk = powk[-1] * self.k
-            powk.append(pk)
-            d = {}
-            tdicts.append(d)
-            runs = self.runs
-            td_trail = self.td_trail
-            for p in range(L):
-                get = runs[p].get
-                for m in range(max(t, qtop), qtop + lrs[p] - t + 1):
-                    r = get(m)
-                    if r is not None and r + qtop >= m + t:
-                        start = p + 1 - m - off
-                        v = pref[start + qtop] - pref[start] * pk
-                        if v not in d:
-                            d[v] = p
-                            td_trail[p].append((d, v))
-        mtop = qtop + q - t  # r <= q: longer periods arm no length <= qtop
-        for m, r in row.items():
+        trail = self.td_trail[p]
+        end = p + 1 - (t if self.rev else 0)
+        mtop = hi + self.lrs[p] - t
+        for m, r in self.runs[p].items():
             if m > mtop:
-                break
+                break  # so are all longer periods
             if m < t or r < t:
                 continue
-            start = ell - m - off
+            start = end - m
             base = pref[start]
-            for q in range(m + t - r, (m if m < qtop else qtop) + 1):
+            q0 = m + t - r
+            for q in range(q0 if q0 > lo else lo, (m if m < hi else hi) + 1):
                 v = pref[start + q] - base * powk[q]
                 d = tdicts[q]
                 if v not in d:
-                    d[v] = L
-                    ttrail.append((d, v))
-        self.td_trail.append(ttrail)
+                    d[v] = p
+                    trail.append((d, v))
 
     def pop(self) -> None:
         a = self.word.pop()

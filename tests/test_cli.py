@@ -261,6 +261,14 @@ class TestUsageErrors:
             ["search", "S", "--t", "1"],
             ["search", "S", "--k", "x", "--t", "1"],
             ["search", "S", "--k", "2", "--t", "1", "--k2"],
+            # options the chosen search mode would ignore
+            ["search", "S", "--k", "2", "--t", "1", "--seed", "0101"],
+            ["search", "S", "--k", "2", "--t", "2", "--frontier", "--seed", "01",
+             "--resume", "run.ckpt"],
+            ["search", "S", "--k", "2", "--t", "2", "--frontier", "--threads", "2"],
+            ["search", "S", "--k", "2", "--t", "2", "--frontier", "--split-depth", "3"],
+            ["search", "S", "--k", "2", "--t", "2", "--checkpoint", "run.ckpt",
+             "--threads", "2"],
         ],
     )
     def test_rejected_arguments(self, argv):

@@ -11,7 +11,12 @@ import pytest
 
 import oracles
 from splitrep import counting
-from splitrep.detect import GapConvention, find_split_t_overlap
+from splitrep.detect import (
+    GapConvention,
+    find_reversed_split_t_overlap,
+    find_split_t_overlap,
+    find_t_overlap_factor,
+)
 from splitrep.engines import DisjointFactorEngine, SplitOverlapEngine
 from splitrep.knownvalues import load_known_cells
 from splitrep.search import (
@@ -174,7 +179,7 @@ class TestIndexAgainstReference:
     verdict with the reference engine, checks that verdicts on a random
     subset of the letters, in random order, agree with the full batch,
     checks the longest repeated suffix of every prefix against brute force
-    and that it bounds every run at the last position, and probes the
+    and that it is the longest run at the last position, and probes the
     factor lookup in `text` on factors of the current word of every length
     directly. After every push and pop the capped threat tables are checked
     against an eager rebuild from the word and its runs.
@@ -238,8 +243,8 @@ class TestIndexAgainstReference:
                 assert ref.try_push(a) == pushed == verdicts[a], word
                 if pushed:
                     lrs.append(oracles.longest_repeated_suffix(word))
-                    # a run repeats a suffix: the contiguous check stops there
-                    assert max(engine.runs[-1].values(), default=0) <= engine.lrs[-1]
+                    # every repeated suffix is a run: lrs is the longest run
+                    assert max(engine.runs[-1].values(), default=0) == lrs[-1]
                     armed.append(self._threats_at_end(engine))
                     if lrs[-1] + 1 > qtop:
                         qtop = lrs[-1] + 1
@@ -352,6 +357,21 @@ class TestIndexAgainstReference:
         assert find_split_t_overlap(parse_word(text[:-1], 2), 3) is None
         v = find_split_t_overlap(parse_word(text, 2), 3)
         assert v.x_span == (6, 10) and v.z_span == (12, 15)
+
+    @pytest.mark.parametrize("kind", ["S", "R"])
+    def test_contiguous_overlap_above_mfit(self, kind):
+        # under GAP_REQUIRED with t = 1, 0101 leaves no room for a split of
+        # period 2 (mfit = 1), so only the contiguous check, in the same
+        # period pass, bars 0: 01010 is the 1-overlap 01.01.0. 1 completes
+        # a split, x = 1 and z = 11 around the gap 0
+        convention = GapConvention.GAP_REQUIRED
+        engine = SplitOverlapEngine(2, 1, convention, reversed_mode=kind == "R")
+        assert all(engine.try_push(a) for a in (0, 1, 0, 1))
+        assert engine.verdicts((0, 1)) == [None, None]
+        find_split = find_reversed_split_t_overlap if kind == "R" else find_split_t_overlap
+        assert find_split(parse_word("01010", 2), 1, convention) is None
+        assert find_t_overlap_factor(parse_word("01010", 2), 1).x_span == (0, 4)
+        assert find_split(parse_word("01011", 2), 1, convention) is not None
 
     @staticmethod
     def _threats_at_end(engine):
