@@ -135,11 +135,21 @@ def _parse_word_arg(text: str, k: int | None) -> Word:
 
 def cmd_analyze(args) -> int:
     w = _parse_word_arg(args.word, args.k)
-    convention = GapConvention(args.convention)
     if args.n is not None and args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.t is not None and args.t < 0:
         raise ValueError("--t must be >= 0")
+    # selector flags restrict which t findings are reported; default all
+    selected = args.split or args.reversed or args.overlap
+    if selected and args.t is None:
+        raise ValueError("--split, --reversed and --overlap select t findings: "
+                         "they need --t")
+    if args.convention is not None and (
+        args.t is None or (args.overlap and not (args.split or args.reversed))
+    ):
+        raise ValueError("--convention applies to split findings: it needs --t "
+                         "and not --overlap alone")
+    convention = GapConvention(args.convention or GapConvention.EMPTY_OK.value)
     outcome: dict = {
         "word": format_word(w),
         "length": len(w),
@@ -156,8 +166,7 @@ def cmd_analyze(args) -> int:
         )
     if args.t is not None:
         t = args.t
-        # selector flags restrict which findings are reported; default all
-        all_kinds = not (args.split or args.reversed or args.overlap)
+        all_kinds = not selected
         if args.overlap or all_kinds:
             v = find_t_overlap_factor(w, t)
             outcome["t_overlap_factor"] = _violation_dict(v) if v else (
@@ -199,14 +208,16 @@ def _problem_from_args(args) -> SearchProblem:
     if kind is ProblemKind.DISJOINT_FACTORS:
         if args.n is None:
             raise ValueError("C searches need --n")
-        param = args.n
-    else:
-        if args.t is None:
-            raise ValueError(f"{kind.value} searches need --t")
-        param = args.t
+        if args.t is not None or args.convention is not None:
+            raise ValueError("C searches take --n, not --t or --convention")
+        return SearchProblem(kind=kind, k=args.k, param=args.n)
+    if args.t is None:
+        raise ValueError(f"{kind.value} searches need --t")
+    if args.n is not None:
+        raise ValueError(f"{kind.value} searches take --t, not --n")
+    convention = args.convention or GapConvention.EMPTY_OK.value
     return SearchProblem(
-        kind=kind, k=args.k, param=param,
-        convention=GapConvention(args.convention),
+        kind=kind, k=args.k, param=args.t, convention=GapConvention(convention),
     )
 
 
@@ -224,10 +235,6 @@ def cmd_search(args) -> int:
         raise ValueError("--seed is a frontier start word: it needs --frontier")
     if args.seed is not None and args.resume:
         raise ValueError("--seed cannot go with --resume: the checkpoint has the word")
-    if frontier and args.split_depth is not None:
-        raise ValueError("frontier mode runs one task: drop --split-depth")
-    if frontier and args.threads != 1:
-        raise ValueError("frontier mode runs on one worker: --threads must be 1")
     start = time.monotonic()
     if frontier:
         seed = _parse_word_arg(args.seed, problem.k) if args.seed else None
@@ -272,11 +279,15 @@ def cmd_bounds(args) -> int:
     if args.family == "C":
         if args.n is None:
             raise ValueError("bounds --family C needs --n")
+        if args.t is not None or args.use_known:
+            raise ValueError("bounds --family C takes --n, not --t or --use-known")
         report_data = counting.c_bounds(args.k, args.n)
         param = args.n
     else:
         if args.t is None:
             raise ValueError("bounds --family S or R needs --t")
+        if args.n is not None:
+            raise ValueError("bounds --family S or R takes --t, not --n")
         report_data = counting.s_upper_bounds(
             args.k, args.t, c_values=exact_c_values() if args.use_known else None
         )
@@ -301,6 +312,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.what != "debruijn" and (args.n is not None or args.special):
+        raise ValueError("--n and --special are for construct debruijn")
+    if args.special and args.n not in (None, 3):
+        raise ValueError("--special is the order-3 de Bruijn word: it needs --n 3")
+    if args.what != "witness" and args.x is not None:
+        raise ValueError("--x is for construct witness")
     start = time.monotonic()
     try:
         if args.what == "c2":
@@ -450,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reversed", action="store_true", help="only reversed findings")
     p.add_argument("--overlap", action="store_true", help="only contiguous findings")
     p.add_argument("--convention", choices=[c.value for c in GapConvention],
-                   default=GapConvention.EMPTY_OK.value)
+                   help="gap convention of split findings (default empty-ok)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -473,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     p.add_argument("--resume", default=None, help="resume from checkpoint file")
     p.add_argument("--convention", choices=[c.value for c in GapConvention],
-                   default=GapConvention.EMPTY_OK.value)
+                   help="gap convention of S and R searches (default empty-ok)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

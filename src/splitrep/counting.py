@@ -10,11 +10,12 @@ returned as a Fraction.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .words import EmptyWordError, Word, failure_function, period
 
@@ -80,17 +81,39 @@ def unbordered_count(k: int, n: int) -> int:
     return u[n]
 
 
-@lru_cache(maxsize=1)
-def smallest_periods(k: int, n: int) -> tuple[int, ...]:
+_last_table: dict[tuple[int, int], tuple[int, ...]] = {}  # (k, n) -> table
+
+
+def smallest_periods(
+    k: int, n: int, deadline: float | None = None
+) -> tuple[int, ...] | None:
     """Smallest period of every length-n word over Sigma_k; entry v is the
     word of base-k value v (itertools.product order). At most CENSUS_BUDGET
-    words are enumerated, else BudgetExceededError. The last table is kept,
-    so a search and its tasks enumerate it once."""
+    words are enumerated, else BudgetExceededError. The last complete table
+    is kept, so a search and its tasks enumerate it once; cache_clear()
+    drops it. With a deadline (on time.monotonic()) the words are enumerated
+    in blocks of 4096, and None is returned if it passes before a block."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if k ** n > CENSUS_BUDGET:
         raise BudgetExceededError(f"{k}**{n} words exceed the budget {CENSUS_BUDGET}")
-    return tuple(n - failure_function(syms)[-1] for syms in product(range(k), repeat=n))
+    table = _last_table.get((k, n))
+    if table is None:
+        words = product(range(k), repeat=n)
+        periods: list[int] = []
+        while deadline is None or time.monotonic() <= deadline:
+            block = [n - failure_function(syms)[-1] for syms in islice(words, 4096)]
+            if not block:
+                break
+            periods += block
+        else:  # the deadline passed first
+            return None
+        _last_table.clear()
+        table = _last_table[k, n] = tuple(periods)
+    return table
+
+
+smallest_periods.cache_clear = _last_table.clear
 
 
 def period_census(k: int, n: int) -> dict[int, int]:

@@ -107,11 +107,16 @@ def _try_push(self, a: int) -> bool:
 class DisjointFactorEngine:
     """No two disjoint occurrences of any single length-n factor.
 
-    Tracks remaining occurrence capacity for the length-reachability bound:
-    a factor with smallest period p fits at most ceil(n/p) occurrences, and
-    once seen, all of them must start within n-1 positions of the first.
-    Capacity that can no longer be used (expired windows) is forfeited, so
-    max_reachable_length() is a certified bound for the current branch.
+    The reachability bound is one ledger, bound. A factor with smallest
+    period p fits at most ceil(n/p) occurrences, its cap, all starting within
+    n - 1 positions of the first; the period sum T = (sum of the caps) + n - 1
+    bounds C(k, n). Once a factor's window expires, its occurrences left
+    (remaining) are forfeited, and bound is T less the branch's forfeits. It
+    equals max(L, n - 1) + (caps of the unseen factors) + (occurrences left
+    to the live ones): from length n on, a push adds one to max(L, n - 1),
+    and takes one from the rest, as a new factor moves its cap from unseen to
+    live less the occurrence itself and a repeat spends one live occurrence.
+    So max_reachable_length(), which is bound, is certified for the branch.
 
     A letter's token is the rolling value of the last min(L + 1, n) letters
     it leaves, the length-n factor it completes once there are n letters.
@@ -134,8 +139,7 @@ class DisjointFactorEngine:
         # the period-sum bound less n - 1
         self.periods = smallest_periods(k, n)
         self.remaining: dict[int, int] = {}  # live seen grams -> occurrences left
-        self.unseen_total = theorem_sum_bound(k, n) - (n - 1)
-        self.live_total = 0
+        self.bound = theorem_sum_bound(k, n)  # less the forfeits of the branch
         # per push: (gram seen first, gram seen again, forfeited (gram, remaining))
         self.trail: list[tuple] = []
 
@@ -169,22 +173,19 @@ class DisjointFactorEngine:
             rem = self.remaining.pop(x, None)
             if rem is not None:
                 forfeit = (x, rem)
-                self.live_total -= rem
+                self.bound -= rem
         new_gram = consumed = None
         if ell >= n:
             if g not in self.earliest:
                 new_gram = g
                 self.earliest[g] = ell - n
                 cap = -(-n // self.periods[g])
-                self.unseen_total -= cap
                 if cap > 1:
                     self.remaining[g] = cap - 1
-                    self.live_total += cap - 1
             else:
                 # a repeat is overlapping, hence live with remaining >= 1
                 consumed = g
                 rem = self.remaining[g] - 1
-                self.live_total -= 1
                 if rem:
                     self.remaining[g] = rem
                 else:
@@ -197,24 +198,17 @@ class DisjointFactorEngine:
         new_gram, consumed, forfeit = self.trail.pop()
         if consumed is not None:
             self.remaining[consumed] = self.remaining.get(consumed, 0) + 1
-            self.live_total += 1
         if new_gram is not None:
             del self.earliest[new_gram]
-            cap = -(-self.n // self.periods[new_gram])
-            self.unseen_total += cap
-            if cap > 1:
-                self.live_total -= cap - 1
-                del self.remaining[new_gram]
+            self.remaining.pop(new_gram, None)
         if forfeit is not None:
             x, rem = forfeit
             self.remaining[x] = rem
-            self.live_total += rem
+            self.bound += rem
 
     def max_reachable_length(self) -> int:
         """Certified bound on the length of any extension of the current word."""
-        return (
-            max(len(self.word), self.n - 1) + self.unseen_total + self.live_total
-        )
+        return self.bound
 
 
 class SplitOverlapEngine:

@@ -498,6 +498,8 @@ def longest_avoiding(
     """
     start = time.monotonic()
     deadline = start + budget.seconds if budget.seconds is not None else None
+    if _out_of_time_for_periods(problem, deadline):
+        return _merge(problem, budget, [_TaskResult([], 0, False, False)], 0, start)
     cap = None if collect_all_witnesses else certified_cap(problem)
     achievable = cap is not None and _cap_achievable(problem, cap)
     _, prefixes, prefix_nodes, prefix_best = _plan_tasks(
@@ -525,6 +527,15 @@ def longest_avoiding(
             if result.cap_hit:
                 break
     return _merge(problem, budget, results, prefix_nodes, start)
+
+
+def _out_of_time_for_periods(problem: SearchProblem, deadline: float | None) -> bool:
+    """True when the deadline passes before the period table that every
+    disjoint-factor engine reads is built; no engine can be built then."""
+    return (
+        problem.kind is ProblemKind.DISJOINT_FACTORS
+        and counting.smallest_periods(problem.k, problem.param, deadline) is None
+    )
 
 
 def _merge(
@@ -697,6 +708,10 @@ def frontier_lower_bound(
         raise ValueError(f"unknown frontier strategy {strategy!r}")
     if dive_nodes < 1:
         raise ValueError(f"dive_nodes must be >= 1, got {dive_nodes}")
+    if budget.workers != 1:
+        raise ValueError(f"a frontier search runs on one worker, not {budget.workers}")
+    if budget.split_depth is not None:
+        raise ValueError("a frontier search runs one task: it takes no split depth")
     settings = {
         "strategy": strategy,
         "rng_seed": rng_seed,
@@ -731,10 +746,16 @@ def frontier_lower_bound(
                 base_nodes + nodes, settings,
             )
 
-    if strategy == "lex":
-        prefix = best
-        if resume is not None:
-            prefix = list(parse_word(resume.prefix, problem.k).symbols)
+    # a lex run resumes from the word where it stopped
+    prefix = best
+    if resume is not None and strategy == "lex":
+        prefix = list(parse_word(resume.prefix, problem.k).symbols)
+    if _out_of_time_for_periods(problem, deadline):
+        # no engine, so no node; the start word is checked without one
+        if not verify_witness(problem, Word(tuple(best), problem.k)):
+            raise ValueError(f"prefix is not violation-free: {best}")
+        nodes = 0
+    elif strategy == "lex":
         engine = _replay(problem, prefix)
         # walk the tree in letter order as if the walk had reached prefix
         result = _dfs(
@@ -742,7 +763,6 @@ def frontier_lower_bound(
             resume=True, save=save,
         )
         best, nodes = result.best, result.nodes
-        # a lex run resumes from the word where it stopped
         prefix = engine.word
     else:
         # one live engine for every dive: each dive pops back to its common

@@ -269,6 +269,20 @@ class TestUsageErrors:
             ["search", "S", "--k", "2", "--t", "2", "--frontier", "--split-depth", "3"],
             ["search", "S", "--k", "2", "--t", "2", "--checkpoint", "run.ckpt",
              "--threads", "2"],
+            # options the chosen command, kind or family would ignore
+            ["construct", "debruijn", "--n", "4", "--special"],
+            ["construct", "c2", "--n", "5"],
+            ["construct", "c3", "--x", "01"],
+            ["construct", "witness", "--x", "010", "--special"],
+            ["analyze", "0101", "--split"],
+            ["analyze", "0101", "--convention", "gap-required"],
+            ["analyze", "0101", "--t", "1", "--overlap", "--convention", "gap-required"],
+            ["bounds", "--family", "C", "--k", "2", "--n", "3", "--t", "2",
+             "--use-known"],
+            ["bounds", "--family", "S", "--k", "2", "--t", "1", "--n", "3"],
+            ["search", "C", "--k", "2", "--n", "3", "--t", "2"],
+            ["search", "C", "--k", "2", "--n", "3", "--convention", "gap-required"],
+            ["search", "S", "--k", "2", "--t", "1", "--n", "3"],
         ],
     )
     def test_rejected_arguments(self, argv):

@@ -140,19 +140,48 @@ class TestEngineAgainstOracle:
             while engine.word:
                 engine.pop()
             if kind == "C":
-                assert not engine.earliest and engine.live_total == 0
+                assert not engine.earliest and not engine.remaining
+                assert engine.bound == counting.theorem_sum_bound(2, 3)
             else:
                 assert engine.text == ""
                 assert all(not d for d in engine.tdicts)
                 assert not engine.td_trail
+
+    @pytest.mark.parametrize(
+        "k,n", [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
+    )
+    def test_bound_is_period_sum_less_forfeits(self, k, n):
+        # the exact value, from the word alone: the period sum T less, for
+        # every factor x whose window has closed (its first start s has
+        # s + 2n <= L), the occurrences of its cap that x did not use
+        def from_word(w):
+            seen = {}  # factor -> [first start, occurrences]
+            for s in range(len(w) - n + 1):
+                seen.setdefault(tuple(w[s : s + n]), [s, 0])[1] += 1
+            return counting.theorem_sum_bound(k, n) - sum(
+                counting.max_nondisjoint_cap(Word(x, k)) - count
+                for x, (s, count) in seen.items()
+                if s + 2 * n <= len(w)
+            )
+
+        rng = random.Random(5)
+        engine = DisjointFactorEngine(k, n)
+        for _ in range(3000):
+            if engine.word and rng.random() < 0.3:
+                engine.pop()
+            else:
+                engine.try_push(rng.randrange(k))
+            assert engine.max_reachable_length() == from_word(engine.word), (
+                engine.word
+            )
 
     @pytest.mark.parametrize("k,n", [(1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
     def test_disjoint_state_matches_replay(self, k, n):
         # after every push or pop, the capacity bookkeeping (and with it the
         # reachability bound) equals that of a fresh engine fed the word
         def state(e):
-            return (e.word, e.grams, e.earliest, e.remaining,
-                    e.unseen_total, e.live_total, e.max_reachable_length())
+            return (e.word, e.grams, e.earliest, e.remaining, e.bound,
+                    e.max_reachable_length())
 
         rng = random.Random(11)
         engine = DisjointFactorEngine(k, n)
@@ -624,6 +653,29 @@ class TestSearchProperties:
         assert time.monotonic() - t0 < 2
         assert out.status is SearchStatus.LOWER_BOUND
 
+    def test_short_budget_while_the_period_table_is_built(self):
+        # the 2**20 periods take seconds to enumerate; the deadline is
+        # tested between blocks of words, and no engine is built in time
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 20)
+        seed = parse_word("0011", 2)
+        for run in (
+            lambda budget: longest_avoiding(problem, budget),
+            lambda budget: frontier_lower_bound(problem, budget),
+            lambda budget: frontier_lower_bound(problem, budget, seed=seed),
+        ):
+            counting.smallest_periods.cache_clear()
+            t0 = time.monotonic()
+            out = run(SearchBudget(seconds=0.05))
+            assert time.monotonic() - t0 < 1
+            assert out.status is SearchStatus.LOWER_BOUND
+            assert out.nodes_explored == 0
+        assert format_word(out.witness) == "0011"
+        counting.smallest_periods.cache_clear()
+        with pytest.raises(ValueError, match="not violation-free"):
+            frontier_lower_bound(
+                problem, SearchBudget(seconds=0.05), seed=parse_word("0" * 41, 2)
+            )
+
     def test_short_budget_on_a_huge_alphabet(self):
         # the split engine sets up nothing per letter of the alphabet,
         # which the replay of every planned task would repeat
@@ -783,6 +835,20 @@ class TestFrontier:
                 problem, SearchBudget(nodes=1000), strategy="restarts",
                 dive_nodes=dive_nodes,
             )
+
+    @pytest.mark.parametrize(
+        "budget,match",
+        [
+            (SearchBudget(nodes=1000, workers=2), "one worker"),
+            (SearchBudget(nodes=1000, split_depth=0), "split depth"),
+            (SearchBudget(nodes=1000, split_depth=3), "split depth"),
+        ],
+    )
+    def test_rejects_the_exact_search_options(self, budget, match):
+        # a frontier search runs one task on one worker
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 2)
+        with pytest.raises(ValueError, match=match):
+            frontier_lower_bound(problem, budget)
 
     def test_lex_respects_budget_and_improves(self):
         problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 5)
