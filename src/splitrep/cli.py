@@ -71,7 +71,8 @@ DEFAULT_TABLE_CELLS = {
 
 @dataclass(frozen=True)
 class RunReport:
-    """One run's inputs and results; renders to text and to JSON losslessly."""
+    """One run's inputs and results; renders as text, or as JSON that holds
+    every field."""
 
     command: str
     params: dict
@@ -83,10 +84,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "RunReport":
-        return RunReport(**json.loads(text))
 
     def to_text(self) -> str:
         lines = [f"splitrep {self.version}: {self.command}"]

@@ -7,20 +7,22 @@ _walk, which drives the problem's engine directly: depth-first through
 the k-ary extension tree with canonical symmetry breaking (first
 occurrences of letters in increasing order), the engine's incremental
 suffix-anchored checks asked once per node, a node budget and a
-deadline. Each search supplies only its policy, in the visit() called
-after every accepted letter:
+deadline. Each search supplies its policy through three hooks: visit(),
+called after every accepted letter, says whether to descend, back up or
+stop; fill(count), when given, supplies a frame's letters and their
+verdict tokens the first time the walk visits it; save(nodes), when
+given, is called every CHECKPOINT_EVERY nodes of the run.
 
 - _dfs keeps the best word, stops with an exact result when a word
   reaches a certified upper bound, and prunes by reachability. It runs
   the tasks of longest_avoiding, and the lex frontier, which resumes it
   from a checkpointed prefix;
 - _enumerate_prefixes records the words of the split depth;
-- the restarts frontier dives below random cuts of the incumbent,
-  letters shuffled. Its dives and replays come back to words they have
-  checked, so on a split kind the run files each word's verdict tokens
-  under the word, in an LRU of at most _MEMO_WORDS (1024) words, and a
-  return reuses them; a split engine's verdicts depend on the word alone
-  (see engines). The cache moves no node count, reach or witness.
+- _frontier_restarts dives below random cuts of the incumbent. Its
+  fill() shuffles the letters, and on a split kind takes the tokens from
+  the run's own verdict cache, an LRU of at most _MEMO_WORDS (1024)
+  words, which also serves its moves between dives. The cache moves no
+  node count, reach or witness.
 
 Determinism: letters are tried in increasing order, so the first word
 found at any length is the lexicographically least; node budgets are
@@ -39,8 +41,8 @@ import enum
 import os
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import counting
 from .detect import (
@@ -193,30 +195,27 @@ def _walk(
     max_nodes: int | None = None,
     deadline: float | None = None,
     clock: int = 0,
-    order=None,
     resume: bool = False,
-    on_node=None,
-    memo=None,
+    fill=None,
+    save=None,
 ) -> tuple[int, str]:
     """The depth-first walk below the engine's word that every search runs.
 
     A frame per depth holds [letters, tokens, next index, letter count].
-    The walk owns the canonical-letter rule: a frame's letters are the
-    first count letters (every letter used so far and the first unused
-    one), in increasing order or shuffled in place by order(). A child's
-    count is its parent's, plus one when the letter taken was the parent's
-    last, capped at k; the frames the walk starts with get theirs from the
-    engine's word. With resume, the walk goes on as if it had come to the engine's
+    The walk owns the canonical-letter rule: a frame's count is its
+    parent's, plus one when the letter taken was the parent's last, capped
+    at k; the frames the walk starts with get theirs from the engine's
+    word. With resume, the walk goes on as if it had come to the engine's
     word from the empty word: it starts with a frame per letter of the
     word, that letter's smaller siblings done. A frame's letters and their
-    engine verdicts are filled in when it is first visited. Each letter
+    engine verdicts are filled in when it is first visited: the first count
+    letters in increasing order, or whatever fill(count) returns as
+    (letters, tokens), tokens[i] being letters[i]'s verdict. Each letter
     tried is one node: a budget of max_nodes tries exactly that many. The
     deadline is tested every 4096 nodes of the caller's running count,
-    clock + nodes, which on_node also receives before each node is tried.
-    After each accepted letter, visit() returns _DESCEND, _BACK (undo the
-    letter) or _STOP. memo, a split engine's verdict cache (see
-    _frontier_restarts), supplies a frame's tokens when its word is filed
-    there and files them when it is not.
+    clock + nodes, and save(clock + nodes) is called each time that count
+    reaches a multiple of CHECKPOINT_EVERY. After each accepted letter,
+    visit() returns _DESCEND, _BACK (undo the letter) or _STOP.
 
     Returns the nodes tried and why the walk ended: "exhausted", "budget",
     "deadline" or "stopped". The engine is left where the walk ended.
@@ -237,22 +236,11 @@ def _walk(
         frame = frames[-1]
         letters, tokens, i, count = frame
         if letters is None:
-            letters = range(count)
-            if memo is None:
+            if fill is None:
+                letters = range(count)
                 tokens = verdicts(letters)
             else:
-                key = engine.text
-                tokens = memo.get(key)
-                if tokens is None:
-                    if len(memo) >= _MEMO_WORDS:
-                        memo.popitem(last=False)
-                    tokens = memo[key] = verdicts(letters)
-                else:
-                    memo.move_to_end(key)
-            if order is not None:
-                letters = list(letters)
-                order(letters)
-                tokens = [tokens[a] for a in letters]
+                letters, tokens = fill(count)
             frame[0], frame[1] = letters, tokens
         if i >= len(letters):
             frames.pop()
@@ -269,8 +257,8 @@ def _walk(
             return nodes, "deadline"
         frame[2] = i + 1
         nodes += 1
-        if on_node is not None:
-            on_node(clock + nodes)
+        if save is not None and (clock + nodes) % CHECKPOINT_EVERY == 0:
+            save(clock + nodes)
         token = tokens[i]
         if token is not None:
             a = letters[i]
@@ -348,10 +336,9 @@ def _dfs(
             return _BACK
         return _DESCEND
 
-    on_node = save and _every(lambda nodes: save(best, word, nodes))
     nodes, why = _walk(
         engine, visit, max_nodes=max_nodes, deadline=deadline, resume=resume,
-        on_node=on_node,
+        save=save and (lambda nodes: save(best, word, nodes)),
     )
     return _TaskResult(best, nodes, why == "exhausted", why == "stopped", all_best)
 
@@ -362,11 +349,12 @@ def _replay(problem: SearchProblem, prefix: list[int]):
     return engine
 
 
-def _move_to(engine, target: list[int], memo=None) -> None:
+def _move_to(engine, target: list[int], tokens_of=None) -> None:
     """Pop the engine back to its longest common prefix with target, then
     push the rest of target: the engine _replay(target) builds, without
-    redoing the shared prefix. A push whose word is filed in memo commits
-    the filed token instead of checking again."""
+    redoing the shared prefix. With tokens_of, a restarts run's verdict
+    cache (see _frontier_restarts), each push commits its word's cached
+    token instead of checking again."""
     word = engine.word
     common = 0
     for a, b in zip(word, target):
@@ -376,12 +364,11 @@ def _move_to(engine, target: list[int], memo=None) -> None:
     while len(word) > common:
         engine.pop()
     for a in target[common:]:
-        tokens = None if memo is None else memo.get(engine.text)
+        tokens = None if tokens_of is None else tokens_of(engine.text)
         if tokens is None or a >= len(tokens):  # a seed need not be canonical
             if engine.try_push(a):
                 continue
         elif tokens[a] is not None:
-            memo.move_to_end(engine.text)
             engine.commit(a, tokens[a])
             continue
         raise ValueError(f"prefix is not violation-free: {target}")
@@ -502,6 +489,8 @@ def longest_avoiding(
         return _merge(problem, budget, [_TaskResult([], 0, False, False)], 0, start)
     cap = None if collect_all_witnesses else certified_cap(problem)
     achievable = cap is not None and _cap_achievable(problem, cap)
+    if _past(deadline):
+        return _merge(problem, budget, [_TaskResult([], 0, False, False)], 0, start)
     _, prefixes, prefix_nodes, prefix_best = _plan_tasks(
         problem, 0 if collect_all_witnesses else budget.split_depth
     )
@@ -509,6 +498,10 @@ def longest_avoiding(
         # the whole tree is shallower than the split depth
         result = _TaskResult(prefix_best, prefix_nodes, True, False)
         return _merge(problem, budget, [result], 0, start)
+    if _past(deadline):
+        # the planner's longest word is the lower bound; no task is run
+        result = _TaskResult(prefix_best, 0, False, False)
+        return _merge(problem, budget, [result], prefix_nodes, start)
     tasks = [
         (problem, p, budget.nodes, cap, deadline, achievable, collect_all_witnesses)
         for p in prefixes
@@ -527,6 +520,10 @@ def longest_avoiding(
             if result.cap_hit:
                 break
     return _merge(problem, budget, results, prefix_nodes, start)
+
+
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
 
 
 def _out_of_time_for_periods(problem: SearchProblem, deadline: float | None) -> bool:
@@ -756,7 +753,9 @@ def frontier_lower_bound(
             raise ValueError(f"prefix is not violation-free: {best}")
         nodes = 0
     elif strategy == "lex":
-        engine = _replay(problem, prefix)
+        # replaying best checks it, a resumed one too
+        engine = _replay(problem, best)
+        _move_to(engine, prefix)
         # walk the tree in letter order as if the walk had reached prefix
         result = _dfs(
             engine, max_nodes=max_nodes, cap=None, deadline=deadline, best=best,
@@ -785,31 +784,27 @@ def frontier_lower_bound(
     )
 
 
-def _every(fn):
-    """An on_node hook that calls fn(nodes) each time CHECKPOINT_EVERY more
-    nodes have been counted since its last call."""
-    last = 0
-
-    def on_node(nodes):
-        nonlocal last
-        if nodes - last >= CHECKPOINT_EVERY:
-            last = nodes
-            fn(nodes)
-
-    return on_node
-
-
 def _frontier_restarts(
     engine, best, max_nodes, deadline, save, rng, dive_nodes, tie_swap
 ):
     """Randomized dives below random cuts of the incumbent, deepest-biased.
 
-    Each dive is a walk of at most dive_nodes nodes in shuffled letter
-    order. Sideways moves (tie_swap) sometimes replace the incumbent with
-    an equal-length word, drifting across plateaus; the cut window widens
-    while the best length stagnates.
+    Each dive is a walk of at most dive_nodes nodes whose fill() shuffles
+    each frame's letters. Sideways moves (tie_swap) sometimes replace the
+    incumbent with an equal-length word, drifting across plateaus; the cut
+    window widens while the best length stagnates.
+
+    The dives and the moves between them come back to words they have
+    checked, so on a split kind the run keeps a verdict cache: each word's
+    tokens, for its canonical letter count, filed under the engine's text
+    in an LRU of at most _MEMO_WORDS words. fill() and _move_to read it. A
+    split engine's verdicts depend on the word alone (see engines), so the
+    cache moves no node count, reach or witness. The disjoint-factor
+    engine's verdicts cost one dict lookup per letter, no more than a cache
+    lookup, so its runs are not cached.
     """
     word = engine.word
+    k, verdicts = engine.k, engine.verdicts
     improved = False
 
     def visit():
@@ -821,11 +816,22 @@ def _frontier_restarts(
             best = word.copy()
         return _DESCEND
 
-    on_node = save and _every(lambda nodes: save(best, best, nodes))
-    # the verdict cache, keyed by the split engine's text (see the module
-    # docstring). The disjoint-factor engine's verdicts cost one dict lookup
-    # per letter, no more than a cache lookup, so its runs are not cached
-    memo = OrderedDict() if isinstance(engine, SplitOverlapEngine) else None
+    tokens_of = None
+    if isinstance(engine, SplitOverlapEngine):
+
+        @lru_cache(maxsize=_MEMO_WORDS)
+        def tokens_of(text):
+            # text is the key only: the engine stands at that word. The
+            # count is the one _walk gives the word's frame
+            return verdicts(range(min(max(word, default=-1) + 2, k)))
+
+    def fill(count):
+        tokens = verdicts(range(count)) if tokens_of is None else tokens_of(engine.text)
+        letters = list(range(count))
+        rng.shuffle(letters)
+        return letters, [tokens[a] for a in letters]
+
+    save_best = save and (lambda nodes: save(best, best, nodes))
     nodes = 0
     stale = 0  # dives since the incumbent last improved; widens the cut window
     while nodes < max_nodes:
@@ -836,12 +842,11 @@ def _frontier_restarts(
             cut = len(best) - rng.randrange(1, min(len(best), window) + 1)
         else:
             cut = rng.randrange(0, len(best) + 1)
-        _move_to(engine, best[:cut], memo)
+        _move_to(engine, best[:cut], tokens_of)
         improved = False
         dive, why = _walk(
             engine, visit, max_nodes=min(dive_nodes, max_nodes - nodes),
-            deadline=deadline, clock=nodes, order=rng.shuffle, on_node=on_node,
-            memo=memo,
+            deadline=deadline, clock=nodes, fill=fill, save=save_best,
         )
         nodes += dive
         if why == "deadline":

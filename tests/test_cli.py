@@ -100,8 +100,8 @@ class TestSearchCommand:
     def test_json_round_trip(self, capsys):
         assert main(["search", "R", "--k", "2", "--t", "2", "--json"]) == 0
         text = capsys.readouterr().out
-        report = RunReport.from_json(text)
-        assert RunReport.from_json(report.to_json()) == report
+        report = RunReport(**json.loads(text))
+        assert RunReport(**json.loads(report.to_json())) == report
         assert report.outcome["max_length"] == 15
         assert report.outcome["witness"] == "010001100111001"
         assert report.outcome["witness_verified"] is True
@@ -304,6 +304,22 @@ class TestUsageErrors:
         self.assert_usage_error(
             run_cli("search", "S", "--k", "2", "--t", "2", "--frontier",
                     "--resume", str(ckpt))
+        )
+
+    def test_resume_with_a_violating_best(self, tmp_path):
+        # a resume replays the stored best word, not only the prefix: this
+        # one is longer than C(2,3), so no resumed walk outruns it
+        ckpt = tmp_path / "c.ckpt"
+        assert main(["search", "C", "--k", "2", "--n", "3", "--frontier",
+                     "--budget", "2000", "--checkpoint", str(ckpt)]) == EXIT_LOWER_BOUND
+        lines = [
+            "best=" + "0" * 20 if line.startswith("best=") else line
+            for line in ckpt.read_text().splitlines()
+        ]
+        ckpt.write_text("\n".join(lines) + "\n")
+        self.assert_usage_error(
+            run_cli("search", "C", "--k", "2", "--n", "3", "--frontier",
+                    "--budget", "1000", "--resume", str(ckpt))
         )
 
     def test_resume_with_other_frontier_settings(self, tmp_path):

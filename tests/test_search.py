@@ -692,6 +692,36 @@ class TestSearchProperties:
         assert result.nodes == 0 and not result.exhausted
         assert result.best == [0, 0]
 
+    def test_deadline_before_the_tasks(self, monkeypatch):
+        # a deadline that has passed before the tasks run starts no pool and
+        # replays no task: S(4,1) plans 70 tasks, and 2 workers would start
+        # a pool for them
+        import splitrep.search as search_mod
+
+        def refused(*args, **kwargs):
+            raise AssertionError("started after the deadline")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(search_mod, "_run_task", refused)
+        problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 4, 1)
+        out = longest_avoiding(problem, SearchBudget(seconds=0, workers=2))
+        assert out.status is SearchStatus.LOWER_BOUND
+        assert out.nodes_explored == 0
+        # a deadline that passes while the tasks are planned: the planner's
+        # longest word and nodes are the result
+        plan = search_mod._plan_tasks
+
+        def slow_plan(*args):
+            planned = plan(*args)
+            time.sleep(0.6)
+            return planned
+
+        monkeypatch.setattr(search_mod, "_plan_tasks", slow_plan)
+        _, _, nodes, best = plan(problem)
+        out = longest_avoiding(problem, SearchBudget(seconds=0.5, workers=2))
+        assert out.status is SearchStatus.LOWER_BOUND
+        assert (out.nodes_explored, list(out.witness.symbols)) == (nodes, best)
+
     def test_verify_witness_examples(self):
         c3 = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 3)
         assert verify_witness(c3, parse_word("0000010101111100", 2))
@@ -1063,22 +1093,60 @@ class TestRestartsRegression:
 
     @pytest.mark.parametrize("bound", [1, 8])
     def test_verdict_cache_stays_within_its_bound(self, monkeypatch, bound):
+        import functools
+
         import splitrep.search as search_mod
 
-        class Recorded(search_mod.OrderedDict):
-            sizes = []
+        sizes = []
 
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                self.sizes.append(len(self))
+        def recorded(maxsize):
+            def wrap(fn):
+                cached = functools.lru_cache(maxsize=maxsize)(fn)
+
+                def spy(text):
+                    tokens = cached(text)
+                    sizes.append(cached.cache_info().currsize)
+                    return tokens
+
+                return spy
+
+            return wrap
 
         monkeypatch.setattr(search_mod, "_MEMO_WORDS", bound)
-        monkeypatch.setattr(search_mod, "OrderedDict", Recorded)
+        monkeypatch.setattr(search_mod, "lru_cache", recorded)
         frontier_lower_bound(
             SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2), SearchBudget(nodes=3_000),
             strategy="restarts", rng_seed=4, dive_nodes=200,
         )
-        assert max(Recorded.sizes) == bound
+        assert max(sizes) == bound
+
+    @pytest.mark.parametrize("kind,k,t", [("S", 3, 2), ("R", 2, 4), ("C", 2, 5)])
+    def test_fill_gives_each_frame_its_letters_and_tokens(
+        self, monkeypatch, kind, k, t, memo_words
+    ):
+        # cached or not, fill(count) returns the frame's count letters,
+        # shuffled, and a token for each
+        import splitrep.search as search_mod
+
+        walk = search_mod._walk
+        counts = []
+
+        def checked_walk(engine, visit, *, fill, **kwargs):
+            def checked_fill(count):
+                letters, tokens = fill(count)
+                assert sorted(letters) == list(range(count))
+                assert len(tokens) == count
+                counts.append(count)
+                return letters, tokens
+
+            return walk(engine, visit, fill=checked_fill, **kwargs)
+
+        monkeypatch.setattr(search_mod, "_walk", checked_walk)
+        frontier_lower_bound(
+            SearchProblem(ProblemKind(kind), k, t), SearchBudget(nodes=3_000),
+            strategy="restarts", rng_seed=4, dive_nodes=200,
+        )
+        assert counts and max(counts) == k
 
     def test_pinned_checkpoint_and_resume(self, tmp_path, memo_words):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 3, 2)
@@ -1271,6 +1339,23 @@ class TestCheckpoints:
         settings = {**self.SETTINGS, "strategy": "auto"}
         out = frontier_lower_bound(problem, SearchBudget(nodes=10), resume=cp, **settings)
         assert out.nodes_explored == 1_010
+
+    # a resumed walk outruns a short best word; a long one came back as the
+    # witness before a resume replayed it
+    @pytest.mark.parametrize("edited", ["0" * 6, "0" * 20])
+    def test_lex_resume_replays_best(self, tmp_path, edited):
+        # a resume checks the stored best word as well as the prefix
+        problem = SearchProblem(ProblemKind.DISJOINT_FACTORS, 2, 3)
+        path = tmp_path / "c23.ckpt"
+        frontier_lower_bound(
+            problem, SearchBudget(nodes=2_000), strategy="lex", checkpoint_path=path
+        )
+        text = path.read_text()
+        best = text.split("best=", 1)[1].split("\n", 1)[0]
+        path.write_text(text.replace(f"best={best}\n", f"best={edited}\n"))
+        cp = load_checkpoint(path)
+        with pytest.raises(ValueError, match="not violation-free"):
+            frontier_lower_bound(problem, SearchBudget(nodes=1_000), resume=cp)
 
     def test_resume_rejects_other_problem(self, tmp_path):
         problem = SearchProblem(ProblemKind.SPLIT_OVERLAP, 2, 3)
